@@ -121,8 +121,8 @@ class AceSynthesizer:
         The stream is *prefix ordered*: generation is a depth-first walk of
         (skeleton, parameterization, persistence placement), so workloads
         sharing an operation prefix — ACE sibling families — come out
-        consecutively.  The prefix-shared recorder and the engine's
-        prefix-affine chunking both rely on exactly this adjacency.
+        consecutively.  The engine's family-affine chunking relies on
+        exactly this adjacency.
         """
         if limit is not None and sample:
             return self.sample_stream(limit, required_ops=required_ops)
@@ -136,8 +136,8 @@ class AceSynthesizer:
         A family is a maximal run of consecutive workloads with equal
         :meth:`Workload.family_key` — identical core and dependency
         operations, differing only in persistence-point placement.  These are
-        the workloads whose shared prefixes the prefix-shared recorder
-        records once.  Grouping is a streaming pass over :meth:`stream`
+        the workloads that re-reach each other's crash states, which
+        cross-workload dedup skips.  Grouping is a streaming pass over :meth:`stream`
         (depth-first order makes families consecutive), so only one family
         is materialized at a time.
         """

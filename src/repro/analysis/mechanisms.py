@@ -23,9 +23,9 @@ Two reasoners ship:
   chunk passes the header check and fails reassembly (unmountable — the
   state the ``missing_flush_before_fua`` class of bugs leaks).
 
-The :class:`AnalysisCursor` is an incremental state machine (copyable, so the
-shared replay trie can snapshot it at flush/checkpoint barriers) and
-:func:`analyze_io_log` is the one-shot convenience over a full stream.
+The :class:`AnalysisCursor` is an incremental state machine (fed by the
+one-pass crash-state build, and copyable) and :func:`analyze_io_log` is the
+one-shot convenience over a full stream.
 """
 
 from __future__ import annotations
@@ -378,9 +378,8 @@ _CURSOR_NESTED_FIELDS = ("fence_edges", "lsw", "replicas")
 class AnalysisCursor:
     """Incremental mechanism inference, fed one recorded request at a time.
 
-    Copyable: the shared replay trie snapshots the cursor at flush and
-    checkpoint barriers so sibling workloads resume the analysis on their
-    shared stream prefix instead of re-parsing it.
+    Copyable: :meth:`copy` returns an independent twin, so a caller can
+    fork the analysis at any point of the stream.
     """
 
     total_requests: int = 0

@@ -68,13 +68,6 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _nonnegative_int(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return number
-
-
 def _positive_float(value: str) -> float:
     number = float(value)
     if number <= 0:
@@ -119,22 +112,7 @@ def _print_check_registry() -> int:
     return 0
 
 
-def _add_recording_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--share-prefixes", dest="share_prefixes", action="store_true",
-                        default=None,
-                        help="record shared ACE-sibling operation prefixes once and "
-                             "resume each sibling from an O(1) snapshot fork "
-                             "(default; profiles are byte-for-byte identical either way)")
-    parser.add_argument("--no-share-prefixes", dest="share_prefixes", action="store_false",
-                        help="record every workload from scratch (mkfs + full prefix "
-                             "re-run per workload)")
-    parser.add_argument("--share-replay", dest="share_replay", action="store_true",
-                        default=None,
-                        help="resume each workload's crash-state build from the cached "
-                             "cursor fork on its recorded stream's shared sibling prefix "
-                             "(default; crash states are byte-for-byte identical either way)")
-    parser.add_argument("--no-share-replay", dest="share_replay", action="store_false",
-                        help="replay every workload's crash states from scratch")
+def _add_dedup_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cross-workload-dedup", action="store_true", default=False,
                         help="skip crash states already tested by an earlier workload "
                              "with byte-identical state and expectations (identical "
@@ -145,17 +123,6 @@ def _add_recording_args(parser: argparse.ArgumentParser) -> None:
                              "promoting --cross-workload-dedup to campaign-global under "
                              "a process pool (pool campaigns auto-provision a temporary "
                              "one when unset)")
-    parser.add_argument("--spine-memory-budget", type=_nonnegative_int, default=None,
-                        metavar="BYTES",
-                        help="resident-byte budget for the cached trie spines (prefix "
-                             "recording + replay trail); frozen nodes beyond it spill "
-                             "to disk and rehydrate transparently with byte-identical "
-                             "results (0 spills everything; default: generous, or the "
-                             "REPRO_SPINE_BUDGET environment variable)")
-    parser.add_argument("--spine-spill-dir", metavar="PATH", default=None,
-                        help="directory for spilled spine nodes (default: a private "
-                             "temporary directory; durable campaigns keep one beside "
-                             "the state database)")
 
 
 def _add_crash_plan_args(parser: argparse.ArgumentParser) -> None:
@@ -192,7 +159,7 @@ def _add_campaign_space_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chunk-size", type=_positive_int, default=None,
                         help="workloads per dispatched chunk (default: engine default)")
     _add_crash_plan_args(parser)
-    _add_recording_args(parser)
+    _add_dedup_args(parser)
     _add_check_selection_args(parser)
 
 
@@ -248,12 +215,8 @@ def cmd_test(args) -> int:
                           checks=args.checks, skip_checks=args.skip_checks or (),
                           crash_plan=args.crash_plan, reorder_bound=args.reorder_bound,
                           torn_bound=args.torn_bound,
-                          share_prefixes=args.share_prefixes,
-                          share_replay=args.share_replay,
                           cross_workload_dedup=args.cross_workload_dedup,
-                          global_dedup_cache=args.global_dedup_cache,
-                          spine_memory_budget=args.spine_memory_budget,
-                          spine_spill_dir=args.spine_spill_dir)
+                          global_dedup_cache=args.global_dedup_cache)
     result = harness.test_workload(workload)
     print(result.summary())
     for report in result.bug_reports:
@@ -274,12 +237,8 @@ def _campaign_config(args) -> CampaignConfig:
         crash_plan=args.crash_plan,
         reorder_bound=args.reorder_bound,
         torn_bound=args.torn_bound,
-        share_prefixes=args.share_prefixes,
-        share_replay=args.share_replay,
         cross_workload_dedup=args.cross_workload_dedup,
         global_dedup_cache=args.global_dedup_cache,
-        spine_memory_budget=args.spine_memory_budget,
-        spine_spill_dir=args.spine_spill_dir,
         processes=args.processes,
         chunk_size=args.chunk_size,
     )
@@ -343,8 +302,8 @@ def cmd_campaign(args) -> int:
 
     campaign = B3Campaign(config)
     result = campaign.run(progress=progress)
-    # describe() already includes the recording/dedup summary line whenever
-    # prefix sharing or cross-workload dedup actually did something.
+    # describe() already includes the dedup summary line whenever
+    # cross-workload dedup actually skipped something.
     print(result.describe())
     if campaign.last_run is not None:
         backend = "serial" if config.processes <= 1 else f"{config.processes}-process pool"
@@ -569,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--filesystem", "-f", default="btrfs", choices=_fs_choices())
     test.add_argument("--patched", action="store_true", help="test the patched (bug-free) file system")
     _add_crash_plan_args(test)
-    _add_recording_args(test)
+    _add_dedup_args(test)
     _add_check_selection_args(test)
 
     campaign = sub.add_parser("campaign", help="generate and test a bounded workload space")

@@ -58,16 +58,6 @@ class CampaignConfig:
     torn_bound: int = 2
     #: skip crash states at checkpoints that provably repeat an earlier one
     dedup_scenarios: bool = True
-    #: record shared ACE-sibling operation prefixes once per worker and chunk
-    #: prefix-affinely (profiles stay byte-for-byte identical either way);
-    #: None follows the recorder's default (on, unless REPRO_NO_SHARE_PREFIXES
-    #: is set in the environment)
-    share_prefixes: Optional[bool] = None
-    #: resume each workload's crash-state build from the cached cursor fork
-    #: on its recorded stream's shared sibling prefix (crash states stay
-    #: byte-for-byte identical either way); None follows the replayer's
-    #: default (on, unless REPRO_NO_SHARE_REPLAY is set in the environment)
-    share_replay: Optional[bool] = None
     #: skip crash states already tested by an earlier workload on the same
     #: worker (byte-identical states + expectations); identical recurring
     #: states are counted once, so raw report counts drop accordingly
@@ -80,15 +70,6 @@ class CampaignConfig:
     #: enables it exactly when ``crash_plan == "mechanism"``, True forces it
     #: alongside an exhaustive plan (overhead measurement without pruning)
     analyze_mechanisms: Optional[bool] = None
-    #: resident-byte budget for each worker harness's trie spines; frozen
-    #: nodes beyond it spill to disk and rehydrate transparently (results
-    #: are byte-for-byte identical either way); None follows the spill
-    #: store's default (generous, REPRO_SPINE_BUDGET can lower it)
-    spine_memory_budget: Optional[int] = None
-    #: directory spilled spine nodes are written to, shared by every worker
-    #: (None = a private temporary directory per worker; the durable runner
-    #: provisions one beside the campaign state database)
-    spine_spill_dir: Optional[str] = None
     #: worker processes; 1 = serial in-process, >1 = process-pool backend
     processes: int = 1
     #: workloads per dispatched chunk (None = engine default)
@@ -114,13 +95,9 @@ class B3Campaign:
             reorder_bound=config.reorder_bound,
             torn_bound=config.torn_bound,
             dedup_scenarios=config.dedup_scenarios,
-            share_prefixes=config.share_prefixes,
-            share_replay=config.share_replay,
             cross_workload_dedup=config.cross_workload_dedup,
             global_dedup_cache=config.global_dedup_cache,
             analyze_mechanisms=config.analyze_mechanisms,
-            spine_memory_budget=config.spine_memory_budget,
-            spine_spill_dir=config.spine_spill_dir,
         )
         self._harness: Optional[CrashMonkey] = None
         #: engine bookkeeping of the most recent :meth:`run` (chunk stats, wall clock)

@@ -68,15 +68,13 @@ class CampaignResult:
                 "report_groups": len(self.grouped_reports()),
                 "deduped_scenarios": self.deduped_scenarios,
                 "cross_deduped_scenarios": self.cross_deduped_scenarios,
-                "prefix_hits": self.prefix_hits,
-                "replay_hits": self.replay_hits,
             },
         }
 
     def canonical_dict(self) -> dict:
         """Schedule-invariant view: what was tested, not how the run went.
 
-        Drops wall-clock timings and the sharing telemetry (see
+        Drops wall-clock timings and the replayed-write count (see
         :attr:`CrashTestResult.SESSION_FIELDS`) — those depend on harness
         lifetimes, so an interrupted-and-resumed campaign or a different
         chunk->worker assignment legitimately reports different values.
@@ -126,64 +124,27 @@ class CampaignResult:
     def failing_workloads(self) -> int:
         return sum(1 for result in self.results if not result.passed)
 
-    # -- prefix-shared recording / dedup accounting -------------------------------
+    # -- replay / dedup accounting ----------------------------------------------
 
+    # Read only by perfbench/rep.py; always 0 now that recording has no shared prefixes.
     @property
     def prefix_hits(self) -> int:
-        """Workloads whose profile resumed from a worker's prefix cache."""
-        return sum(1 for result in self.results if result.prefix_shared)
+        return 0
 
-    @property
-    def prefix_ops_reused(self) -> int:
-        """Operations inherited from shared prefixes instead of re-executed."""
-        return sum(result.prefix_ops_reused for result in self.results)
-
-    @property
-    def prefix_writes_reused(self) -> int:
-        """Write requests inherited from shared prefixes across the campaign."""
-        return sum(result.prefix_writes_reused for result in self.results)
-
+    # Read only by perfbench/rep.py; always 0 now that construction has no shared trail.
     @property
     def replay_hits(self) -> int:
-        """Workloads whose crash-state build resumed from a replay trail."""
-        return sum(1 for result in self.results if result.replay_shared)
+        return 0
+
+    # Read only by perfbench/rep.py; always 0 now that nothing is spilled.
+    @property
+    def spine_peak_resident_bytes(self) -> int:
+        return 0
 
     @property
     def replayed_write_requests(self) -> int:
         """Write requests actually applied while constructing crash states."""
         return sum(result.replayed_write_requests for result in self.results)
-
-    @property
-    def replay_writes_reused(self) -> int:
-        """Write requests inherited from shared replay trails campaign-wide."""
-        return sum(result.replay_writes_reused for result in self.results)
-
-    @property
-    def spine_spills(self) -> int:
-        """Spine nodes spilled to disk across every worker harness."""
-        return sum(result.spine_spills for result in self.results)
-
-    @property
-    def spine_spilled_bytes(self) -> int:
-        """Bytes of spine nodes written to spill directories campaign-wide."""
-        return sum(result.spine_spilled_bytes for result in self.results)
-
-    @property
-    def spine_rehydrations(self) -> int:
-        """Spilled spine nodes read back from disk campaign-wide."""
-        return sum(result.spine_rehydrations for result in self.results)
-
-    @property
-    def spine_peak_resident_bytes(self) -> int:
-        """Highest resident spine byte count any worker harness reached.
-
-        Bounded by the configured ``spine_memory_budget`` (per harness, so
-        per worker under a pool backend).
-        """
-        return max(
-            (result.spine_peak_resident_bytes for result in self.results),
-            default=0,
-        )
 
     @property
     def deduped_scenarios(self) -> int:
@@ -194,22 +155,6 @@ class CampaignResult:
     def cross_deduped_scenarios(self) -> int:
         """Scenarios skipped because an earlier workload already tested them."""
         return sum(result.cross_deduped_scenarios for result in self.results)
-
-    def recording_seconds_saved(self) -> float:
-        """Recording-phase seconds prefix sharing avoided (summed over workers).
-
-        Like :meth:`phase_seconds` this is CPU time summed across workers,
-        not wall clock.
-        """
-        return sum(result.prefix_seconds_saved for result in self.results)
-
-    def replay_seconds_saved(self) -> float:
-        """Construction-phase seconds shared replay avoided (summed over workers).
-
-        The trie-hit component of the replay phase; ``phase_seconds()``'s
-        replay component is the fresh-build part actually paid.
-        """
-        return sum(result.replay_seconds_saved for result in self.results)
 
     def all_reports(self) -> List[BugReport]:
         reports: List[BugReport] = []
@@ -275,42 +220,13 @@ class CampaignResult:
             f"{self.generation_seconds:.2f}s generation + {self.testing_seconds:.2f}s testing"
         )
 
-    def recording_summary(self) -> str:
-        """One line of prefix-sharing / dedup accounting for this campaign."""
-        return (
-            f"recording: {self.prefix_hits}/{self.workloads_tested} prefix hits, "
-            f"{self.prefix_ops_reused} ops and {self.prefix_writes_reused} writes reused, "
-            f"{self.recording_seconds_saved():.2f}s saved; "
-            f"dedup: {self.deduped_scenarios} within-workload + "
-            f"{self.cross_deduped_scenarios} cross-workload scenarios skipped"
-        )
-
-    def replay_summary(self) -> str:
-        """One line of shared-replay accounting for this campaign."""
-        return (
-            f"replay: {self.replay_hits}/{self.workloads_tested} trail hits, "
-            f"{self.replay_writes_reused} writes reused "
-            f"({self.replayed_write_requests} replayed fresh), "
-            f"{self.replay_seconds_saved():.2f}s saved"
-        )
-
-    def spine_summary(self) -> str:
-        """One line of spine-spill accounting for this campaign."""
-        return (
-            f"spine spill: {self.spine_spills} nodes "
-            f"({self.spine_spilled_bytes} bytes) spilled, "
-            f"{self.spine_rehydrations} rehydrated, "
-            f"peak resident {self.spine_peak_resident_bytes} bytes per worker"
-        )
-
     def describe(self) -> str:
         lines = [self.summary()]
-        if self.prefix_hits or self.cross_deduped_scenarios:
-            lines.append(self.recording_summary())
-        if self.replay_hits:
-            lines.append(self.replay_summary())
-        if self.spine_spills or self.spine_rehydrations:
-            lines.append(self.spine_summary())
+        if self.cross_deduped_scenarios:
+            lines.append(
+                f"dedup: {self.deduped_scenarios} within-workload + "
+                f"{self.cross_deduped_scenarios} cross-workload scenarios skipped"
+            )
         lines.append("report groups:")
         for group in self.grouped_reports():
             lines.append("  " + group.describe())

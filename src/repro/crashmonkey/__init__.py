@@ -26,12 +26,7 @@ from .crashplan import (
 from .harness import CrashMonkey
 from .oracle import Oracle
 from .recorder import WorkloadProfile, WorkloadRecorder
-from .replayer import (
-    CrashState,
-    CrashStateGenerator,
-    SharedReplayCache,
-    default_share_replay,
-)
+from .replayer import CrashState, CrashStateGenerator
 from .report import BugReport, CrashTestResult, Mismatch, Severity
 from .tracker import PersistenceTracker, TrackedDir, TrackedFile, TrackerView
 
@@ -50,8 +45,6 @@ __all__ = [
     "WorkloadRecorder",
     "CrashState",
     "CrashStateGenerator",
-    "SharedReplayCache",
-    "default_share_replay",
     "CrashPlanner",
     "CrashScenario",
     "CrossWorkloadCache",

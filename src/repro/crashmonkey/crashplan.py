@@ -653,7 +653,7 @@ class GlobalDedupCache:
     family split across workers (or across non-adjacent chunks of one
     worker's stream) re-tests persistence points an earlier worker already
     covered.  This cache stores first sightings in a sqlite database shared
-    by every harness pointed at the same path — the prefix-affine chunker
+    by every harness pointed at the same path — the family-affine chunker
     remains the fast path that keeps most repeats worker-local, and the
     shared database catches the cross-worker remainder.
 

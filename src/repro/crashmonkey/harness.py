@@ -24,7 +24,6 @@ from ..errors import HarnessError
 from ..fs.bugs import BugConfig
 from ..fs.registry import models, resolve_fs_name
 from ..storage.block import DEFAULT_DEVICE_BLOCKS
-from ..storage.spill import SpineStore
 from ..workload.workload import Workload
 from .checker import CheckPipeline
 from .crashplan import (
@@ -34,7 +33,7 @@ from .crashplan import (
     make_planner,
 )
 from .recorder import WorkloadProfile, WorkloadRecorder
-from .replayer import CrashStateGenerator, SharedReplayCache, default_share_replay
+from .replayer import CrashStateGenerator
 from .report import HARNESS_ERROR, BugReport, CrashTestResult, Mismatch
 
 
@@ -51,14 +50,10 @@ class CrashMonkey:
                  reorder_bound: int = 2,
                  torn_bound: int = 2,
                  dedup_scenarios: bool = True,
-                 share_prefixes: Optional[bool] = None,
-                 share_replay: Optional[bool] = None,
                  cross_workload_dedup: bool = False,
                  global_dedup_cache: Optional[str] = None,
                  dedup_scope: Optional[str] = None,
                  analyze_mechanisms: Optional[bool] = None,
-                 spine_memory_budget: Optional[int] = None,
-                 spine_spill_dir: Optional[str] = None,
                  kernel_version: str = "4.16"):
         """
         Args:
@@ -87,20 +82,6 @@ class CrashMonkey:
                 checkpoint that provably repeats an earlier one (same stable
                 fork, window, and expectations — recurs whenever no flush or
                 write intervenes between persistence points).
-            share_prefixes: record shared ACE-sibling operation prefixes once
-                and resume each sibling's profile from an O(1) snapshot fork
-                (profiles stay byte-for-byte identical to from-scratch
-                recording; this only changes how fast they are produced).
-                ``None`` follows the recorder's default (on, unless the
-                ``REPRO_NO_SHARE_PREFIXES`` environment variable is set).
-            share_replay: resume each workload's one-pass crash-state build
-                from the deepest cached cursor fork on its recorded stream's
-                shared sibling prefix, instead of re-applying every shared
-                write (crash states stay byte-for-byte identical to
-                from-scratch construction; this only changes how fast they
-                are built).  ``None`` follows :func:`default_share_replay`
-                (on, unless the ``REPRO_NO_SHARE_REPLAY`` environment
-                variable is set).
             cross_workload_dedup: additionally skip crash states at
                 checkpoints whose states *and* expectations are byte-identical
                 to ones already tested by an earlier workload of this
@@ -127,18 +108,6 @@ class CrashMonkey:
                 exactly when the crash planner consumes the report (the
                 ``mechanism`` plan); forcing ``True`` on an exhaustive plan
                 measures analysis overhead without changing the plan.
-            spine_memory_budget: resident-byte budget shared by both trie
-                spines (the recorder's prefix cache and the replay trail).
-                Frozen nodes beyond the budget spill to disk and rehydrate
-                transparently; results are byte-for-byte identical either
-                way.  ``None`` follows
-                :func:`~repro.storage.spill.default_spine_memory_budget`
-                (generous — seq-1/seq-2 campaigns never spill unless the
-                ``REPRO_SPINE_BUDGET`` environment variable lowers it).
-            spine_spill_dir: directory for spilled spine nodes.  ``None``
-                uses a private temporary directory; campaigns pass a
-                per-campaign directory (the durable runner keeps it beside
-                the state database) so every worker spills to one place.
             kernel_version: label attached to bug reports.
         """
         self.fs_name = resolve_fs_name(fs_name)
@@ -161,22 +130,7 @@ class CrashMonkey:
         # plan name or bound.
         self.planner = make_planner(crash_plan, reorder_bound, torn_bound)
         self.kernel_version = kernel_version
-        #: one budgeted spill store serves both trie spines, so "resident
-        #: spine bytes" is a single number the budget actually bounds
-        self.spine_store = SpineStore(memory_budget=spine_memory_budget,
-                                      spill_dir=spine_spill_dir,
-                                      name=self.fs_name)
-        self.recorder = WorkloadRecorder(self.fs_name, self.bugs, device_blocks=device_blocks,
-                                         share_prefixes=share_prefixes,
-                                         spine_store=self.spine_store)
-        #: resolved value (the recorder applies the None -> default rule)
-        self.share_prefixes = self.recorder.share_prefixes
-        #: resolved value for shared crash-state replay
-        self.share_replay = (default_share_replay() if share_replay is None
-                             else share_replay)
-        #: replay-trie spine shared by every workload this harness tests
-        self.replay_cache = (SharedReplayCache(spine_store=self.spine_store)
-                             if self.share_replay else None)
+        self.recorder = WorkloadRecorder(self.fs_name, self.bugs, device_blocks=device_blocks)
         #: cache of (crash states, expectations) keys; harness-lifetime and
         #: in-memory by default, campaign-global and disk-backed when a
         #: ``global_dedup_cache`` path is given.  One fixed fs/bugs/planner
@@ -237,10 +191,6 @@ class CrashMonkey:
         result = CrashTestResult(
             workload=workload, fs_type=self.fs_name, fs_model=self.fs_model
         )
-        store = self.spine_store
-        spills_before = store.spills
-        spilled_bytes_before = store.spilled_bytes
-        rehydrations_before = store.rehydrations
 
         profile = self.recorder.profile(workload)
         result.profile_seconds = profile.profile_seconds
@@ -248,10 +198,6 @@ class CrashMonkey:
         result.recorded_bytes = profile.recorded_bytes
         result.executed_ops = profile.executed_ops
         result.skipped_ops = profile.skipped_ops
-        result.prefix_shared = profile.prefix_shared
-        result.prefix_ops_reused = profile.prefix_ops_reused
-        result.prefix_writes_reused = profile.prefix_writes_reused
-        result.prefix_seconds_saved = profile.prefix_seconds_saved
 
         checkpoints = profile.checkpoints()
         if self.only_last_checkpoint and checkpoints:
@@ -260,7 +206,6 @@ class CrashMonkey:
         generator = CrashStateGenerator(profile, planner=self.planner,
                                         dedup_scenarios=self.dedup_scenarios,
                                         cross_cache=self.cross_cache,
-                                        replay_cache=self.replay_cache,
                                         analyze=self.analyze_mechanisms)
         result.checkpoints_tested = len(checkpoints)
         scenario_iter = generator.generate_scenarios(checkpoints)
@@ -308,20 +253,10 @@ class CrashMonkey:
         result.replayed_write_requests = generator.replayed_write_requests
         result.deduped_scenarios = generator.deduped_scenarios
         result.cross_deduped_scenarios = generator.cross_deduped_scenarios
-        result.replay_shared = generator.replay_shared
-        result.replay_writes_reused = generator.replay_writes_reused
-        result.replay_seconds_saved = generator.replay_seconds_saved
         result.mechanism_checkpoints = generator.mechanism_checkpoints
         result.mechanism_fallback_checkpoints = generator.mechanism_fallback_checkpoints
         result.mechanism_demoted_checkpoints = generator.mechanism_demoted_checkpoints
         result.audit_demotions = generator.audit_demotions
-        # Spine-spill telemetry: gauges read the store's current/high-water
-        # state, the counters are this workload's deltas.
-        result.spine_resident_bytes = store.resident_bytes
-        result.spine_peak_resident_bytes = store.peak_resident_bytes
-        result.spine_spilled_bytes = store.spilled_bytes - spilled_bytes_before
-        result.spine_spills = store.spills - spills_before
-        result.spine_rehydrations = store.rehydrations - rehydrations_before
         if generator.mechanism_report is not None:
             self.last_mechanism_report = generator.mechanism_report
         return result
@@ -350,8 +285,9 @@ class CrashMonkey:
         """Lazily test a stream of workloads, yielding one result per workload.
 
         The harness is safe to reuse across arbitrarily many workloads: each
-        profile run copies the recorder's pristine image (the re-mkfs step),
-        so no state leaks between workloads.  This is what the execution
+        profile run writes into a fresh copy-on-write overlay over the
+        recorder's pristine image (the re-mkfs step), so no state leaks
+        between workloads.  This is what the execution
         engine's long-lived per-worker harnesses rely on.
         """
         for workload in workloads:

@@ -9,51 +9,21 @@ need:
   persistence operation,
 * an oracle per persistence point,
 * the persisted-set tracker views per persistence point.
-
-Prefix-shared recording
------------------------
-
-ACE's B3 bound emits huge *sibling families*: workloads that differ only in
-their last operation or persistence point.  Re-running mkfs and every shared
-prefix operation per sibling makes the recording phase quadratic in the
-family size, so the recorder keeps a **workload trie spine**: after every
-operation of the most recently profiled workload it freezes a
-:class:`_PrefixNode` — an O(1) chained-overlay :class:`CowDevice` fork plus a
-serialized snapshot of the in-memory file-system, tracker and recording
-state.  The
-next workload resumes from the deepest node on its longest shared prefix and
-records only its own suffix.  The resulting ``io_log`` (and oracles, tracker
-views, checkpoints) is byte-for-byte identical to from-scratch recording —
-execution is deterministic and the frozen state *is* the state the from-
-scratch run would have reached — the shared prefix writes are just performed
-once instead of once per sibling.
-
-Because ACE generates families depth-first, caching the single most recent
-path through the trie is enough to record every shared prefix exactly once
-for a prefix-ordered stream; an out-of-order stream merely falls back to
-recording from scratch (the cache is an optimization, never a correctness
-requirement).
 """
 
 from __future__ import annotations
 
-import io
-import os
-import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..fs.bugs import BugConfig
 from ..fs.registry import get_fs_class, models, resolve_fs_name
 from ..storage.block import DEFAULT_DEVICE_BLOCKS
 from ..storage.block_device import BlockDevice
 from ..storage.cow_device import CowDevice
-from ..storage.io_request import IORequest
 from ..storage.record_device import RecordingDevice
-from ..storage.spill import SpineStore, flatten_requests, freeze_overlay
 from ..workload.executor import WorkloadExecutor
-from ..workload.operations import Operation
 from ..workload.workload import Workload
 from .oracle import Oracle
 from .tracker import PersistenceTracker, TrackerView
@@ -77,198 +47,31 @@ class WorkloadProfile:
     skipped_ops: int = 0
     recorded_bytes: int = 0
     workload_overlay_bytes: int = 0
-    #: True when this profile resumed from the recorder's prefix cache
-    #: (even a depth-0 resume skips the per-workload mkfs image copy + mount)
-    prefix_shared: bool = False
-    #: operations inherited from the shared prefix instead of re-executed
-    prefix_ops_reused: int = 0
-    #: write requests inherited from the shared prefix instead of re-recorded
-    prefix_writes_reused: int = 0
-    #: recording seconds the prefix reuse avoided (the cached wall clock the
-    #: original run spent reaching the resume point)
-    prefix_seconds_saved: float = 0.0
 
     def checkpoints(self) -> List[int]:
         return sorted(self.oracles)
-
-    @property
-    def fresh_write_requests(self) -> int:
-        """Write requests this profile actually performed (not inherited)."""
-        total = sum(1 for request in self.io_log if request.is_write)
-        return total - self.prefix_writes_reused
-
-
-#: Persistent-id tag standing in for the live recording device inside a
-#: frozen file-system blob; thawing substitutes the sibling's own fresh
-#: :class:`RecordingDevice` for it.
-_FS_DEVICE_SLOT = "prefix-node-device"
-
-
-def _freeze_fs(fs, device) -> bytes:
-    """Serialize the mounted fs, replacing its device with a placeholder.
-
-    Pickle (with a persistent id for the device) rather than ``deepcopy``:
-    freezing happens after *every* operation of every profiled workload, and
-    the C pickler is several times cheaper than recursive Python copying —
-    this is what keeps the trie overhead well under the prefix re-run cost
-    it avoids.
-    """
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    pickler.persistent_id = lambda obj: _FS_DEVICE_SLOT if obj is device else None
-    pickler.dump(fs)
-    return buffer.getvalue()
-
-
-def _thaw_fs(payload: bytes, device):
-    """Rebuild a frozen fs, attaching ``device`` where the placeholder was."""
-    unpickler = pickle.Unpickler(io.BytesIO(payload))
-    unpickler.persistent_load = lambda pid: device
-    return unpickler.load()
-
-
-def default_share_prefixes() -> bool:
-    """Default for ``share_prefixes`` when callers pass ``None``.
-
-    Prefix sharing is on by default; setting ``REPRO_NO_SHARE_PREFIXES=1``
-    flips the default to from-scratch recording.  The CI test matrix uses
-    this to keep the reference recording path — the one the prefix-shared
-    profiles are parity-proven against — covered by the full tier-1 suite.
-    Explicit ``share_prefixes=True/False`` arguments always win.  The
-    conventional "unset" spellings (empty, ``0``, ``false``, ``no``, ``off``)
-    keep sharing on, so ``REPRO_NO_SHARE_PREFIXES=0`` does not silently
-    disable it.
-    """
-    return os.environ.get("REPRO_NO_SHARE_PREFIXES", "").strip().lower() in (
-        "", "0", "false", "no", "off",
-    )
-
-
-@dataclass
-class _PrefixNode:
-    """Frozen recording state after executing one more prefix operation.
-
-    Node ``i`` of the spine captures the complete state a from-scratch run
-    reaches right after executing ``ops[:i]``: the storage (an O(1) CoW
-    fork), the recorded stream so far, and serialized snapshots of every
-    piece of mutable in-memory state (file system, tracker records, executor
-    counters).  Oracles and tracker views captured so far are shared, not
-    copied — they are frozen at capture time and never mutated afterwards.
-    """
-
-    depth: int
-    #: the operation executed to reach this node (None for the root)
-    op: Optional[Operation]
-    #: :meth:`Workload.prefix_key` of the operation path to this node — the
-    #: content identity the spine is matched on (collision-freedom is pinned
-    #: by the property tests in ``tests/test_workload_identity.py``)
-    prefix_key: str
-    device: CowDevice
-    log: Tuple[IORequest, ...]
-    checkpoints: int
-    #: pickled mounted fs with the device replaced by _FS_DEVICE_SLOT
-    fs_state: bytes
-    #: :meth:`PersistenceTracker.freeze_state` snapshot
-    tracker_state: Tuple
-    oracles: Dict[int, Oracle]
-    executed: int
-    skipped: int
-    persistence_count: int
-    #: write requests in ``log`` (what a resume inherits without re-recording)
-    write_requests: int
-    #: recording wall-clock seconds spent from run start to this node
-    elapsed: float
-
-
-@dataclass
-class _SpineSlot:
-    """The always-resident stub of one spine node.
-
-    Holds exactly the fields the recorder reads without rehydrating the
-    node — prefix matching (:meth:`WorkloadRecorder._longest_cached_prefix`)
-    and reuse accounting never touch the heavyweight state, so a fully
-    spilled spine still matches prefixes at dict-probe cost.
-    """
-
-    prefix_key: str
-    write_requests: int
-    elapsed: float
-    #: retrieval key of the full :class:`_PrefixNode` in the spine store
-    key: int
-
-
-class _LiveRun:
-    """The mutable state of one in-progress recording run."""
-
-    def __init__(self, recording_device: RecordingDevice, fs, tracker: PersistenceTracker,
-                 oracles: Dict[int, Oracle], executor: WorkloadExecutor):
-        self.recording_device = recording_device
-        self.fs = fs
-        self.tracker = tracker
-        self.oracles = oracles
-        self.executor = executor
 
 
 class WorkloadRecorder:
     """Profiles workloads on a given (simulated) file system."""
 
     def __init__(self, fs_name: str, bugs: Optional[BugConfig] = None,
-                 device_blocks: int = DEFAULT_DEVICE_BLOCKS, strict: bool = False,
-                 share_prefixes: Optional[bool] = None,
-                 spine_store: Optional[SpineStore] = None):
-        """
-        Args:
-            share_prefixes: resume each workload from the deepest cached
-                snapshot on its longest operation prefix shared with the
-                previously profiled workload, instead of re-running mkfs and
-                the prefix operations.  Profiles are byte-for-byte identical
-                either way; disabling trades recording speed for a recorder
-                with no state between ``profile`` calls.  ``None`` follows
-                :func:`default_share_prefixes`.
-            spine_store: budgeted spill store for the frozen trie spine.
-                Pass the harness-wide store so recorder and replay spines
-                share one resident budget; ``None`` builds a private store
-                with the default budget.  Profiles are byte-for-byte
-                identical whether nodes spill or stay resident.
-        """
+                 device_blocks: int = DEFAULT_DEVICE_BLOCKS, strict: bool = False):
         self.fs_name = resolve_fs_name(fs_name)
         self.fs_class = get_fs_class(self.fs_name)
         self.fs_model = models(self.fs_name)
         self.bugs = bugs if bugs is not None else BugConfig.all_for(self.fs_name)
         self.device_blocks = device_blocks
         self.strict = strict
-        self.share_prefixes = (default_share_prefixes() if share_prefixes is None
-                               else share_prefixes)
         # The initial file-system state is the same for every workload (B3's
-        # fourth bound): a small, freshly formatted image, created once and
-        # reused as the base of every profile run.
-        self._pristine_image = self._make_pristine_image()
-        #: shared base of every prefix-shared profile; CowDevice never writes
-        #: through to its base, so one copy serves the whole campaign
-        self._shared_base: Optional[BlockDevice] = None
-        #: budgeted node store; frozen spine nodes live here and spill to
-        #: disk when the resident budget is exceeded
-        self.spine_store = spine_store if spine_store is not None else SpineStore(
-            name=f"{self.fs_name}-prefix"
-        )
-        self.spine_store.register_codec(
-            "prefix", self._freeze_prefix_payload, self._thaw_prefix_payload
-        )
-        #: the trie spine: always-resident stubs along the previous
-        #: workload's op path; the full nodes live in :attr:`spine_store`
-        self._spine: List[_SpineSlot] = []
-        # -- prefix-sharing accounting (campaign-lifetime totals) ------------
-        #: profiles that resumed from the cache instead of re-running mkfs
-        self.prefix_hits = 0
-        #: operations inherited from shared prefixes across all profiles
-        self.prefix_ops_reused = 0
-        #: write requests inherited from shared prefixes across all profiles
-        self.prefix_writes_reused = 0
-        #: recording seconds saved by resuming instead of re-running prefixes
-        self.prefix_seconds_saved = 0.0
+        # fourth bound): a small, freshly formatted image, created once.  It
+        # is the base of every profile run and of every crash state built
+        # from one; CowDevice never writes through to its base, so a single
+        # image serves the whole campaign.
+        self._base_image = self._make_pristine_image()
 
     def _make_pristine_image(self) -> BlockDevice:
-        device = BlockDevice(self.device_blocks, name=f"{self.fs_name}-pristine")
+        device = BlockDevice(self.device_blocks, name=f"{self.fs_name}-base")
         self.fs_class.mkfs(device, self.bugs)
         return device
 
@@ -276,27 +79,14 @@ class WorkloadRecorder:
 
     def profile(self, workload: Workload) -> WorkloadProfile:
         """Run ``workload`` once, recording I/O, oracles, and persisted sets."""
-        if self.share_prefixes:
-            return self._profile_shared(workload)
-        return self._profile_from_scratch(workload)
-
-    def clear_prefix_cache(self) -> None:
-        """Drop the cached trie spine (frees the snapshots it holds)."""
-        self._truncate_spine(0)
-
-    # ------------------------------------------------------------------ from scratch
-
-    def _profile_from_scratch(self, workload: Workload) -> WorkloadProfile:
         start = time.perf_counter()
-        base_image = self._pristine_image.copy(name=f"{self.fs_name}-base")
-        recording_device = RecordingDevice(CowDevice(base_image, name="workload-cow"))
+        recording_device = RecordingDevice(CowDevice(self._base_image, name="workload-cow"))
         fs = self.fs_class(recording_device, self.bugs)
         fs.mount()
 
         tracker = PersistenceTracker(fs)
         oracles: Dict[int, Oracle] = {}
         executor = WorkloadExecutor(fs, strict=self.strict)
-        run = _LiveRun(recording_device, fs, tracker, oracles, executor)
 
         def on_persistence(op, index):
             checkpoint_id = recording_device.mark_checkpoint()
@@ -305,237 +95,24 @@ class WorkloadRecorder:
 
         executor.run(workload, on_persistence=on_persistence,
                      before_operation=tracker.before_operation)
-        return self._finish(run, workload, base_image, start, reused_ops=0,
-                            reused_writes=0, seconds_saved=0.0, shared=False)
-
-    # ------------------------------------------------------------------ prefix shared
-
-    def _profile_shared(self, workload: Workload) -> WorkloadProfile:
-        start = time.perf_counter()
-        prefix_keys = workload.prefix_keys()
-        reused = self._longest_cached_prefix(prefix_keys)
-        if reused < 0:
-            # Cold cache: build the root (mkfs base + mount) and freeze it.
-            self._truncate_spine(0)
-            self._spine = [self._remember(self._make_root_node(prefix_keys[0], start))]
-            reused = 0
-            shared = False
-            seconds_saved = 0.0
-        else:
-            shared = True
-            seconds_saved = self._spine[reused].elapsed
-            self.prefix_hits += 1
-            self.prefix_ops_reused += reused
-            self.prefix_seconds_saved += seconds_saved
-        # Nodes past the divergence point belong to the previous workload's
-        # suffix; the spine is a single path, so they are dropped.
-        self._truncate_spine(reused + 1)
-        slot = self._spine[reused]
-        base_elapsed = slot.elapsed
-        reused_writes = slot.write_requests if shared else 0
-        if shared:
-            self.prefix_writes_reused += reused_writes
-
-        run = self._resume_from(self._fetch(slot))
-
-        def on_persistence(op, index):
-            checkpoint_id = run.recording_device.mark_checkpoint()
-            run.tracker.on_persistence(op, index, checkpoint_id)
-            run.oracles[checkpoint_id] = Oracle.capture(run.fs, checkpoint_id, op.describe())
-
-        # Only op execution counts towards a node's `elapsed` (what a resume
-        # reports as saved): a from-scratch re-run of the prefix would pay
-        # the execution, never the spine-freeze overhead.
-        exec_seconds = 0.0
-        op_start = 0.0
-
-        def before_operation(op, index):
-            nonlocal op_start
-            op_start = time.perf_counter()
-            run.tracker.before_operation(op, index)
-
-        def after_operation(op, index):
-            nonlocal exec_seconds
-            exec_seconds += time.perf_counter() - op_start
-            self._spine.append(self._remember(
-                self._freeze(run, depth=index + 1, op=op,
-                             prefix_key=prefix_keys[index + 1],
-                             elapsed=base_elapsed + exec_seconds)
-            ))
-
-        run.executor.run(workload, on_persistence=on_persistence,
-                         before_operation=before_operation,
-                         after_operation=after_operation, start_index=reused)
-        return self._finish(run, workload, self._shared_base, start,
-                            reused_ops=reused, reused_writes=reused_writes,
-                            seconds_saved=seconds_saved, shared=shared)
-
-    def _longest_cached_prefix(self, prefix_keys: Tuple[str, ...]) -> int:
-        """Deepest spine index matching the workload's prefix keys (-1 = cold).
-
-        The spine is matched on :meth:`Workload.prefix_key` digests — the
-        same content identity the property tests pin down — so the matcher
-        and the documented identity contract cannot drift apart.
-        """
-        if not self._spine:
-            return -1
-        depth = 0
-        limit = min(len(prefix_keys), len(self._spine)) - 1
-        while depth < limit and self._spine[depth + 1].prefix_key == prefix_keys[depth + 1]:
-            depth += 1
-        return depth
-
-    # ------------------------------------------------------------------ spine spill
-
-    def _remember(self, node: _PrefixNode) -> _SpineSlot:
-        """Hand a frozen node to the spine store, keeping a resident stub."""
-        nbytes = (
-            len(node.fs_state)
-            + node.device.overlay_bytes()
-            + sum(request.size_bytes() for request in node.log)
-        )
-        key = self.spine_store.put("prefix", node, nbytes)
-        return _SpineSlot(prefix_key=node.prefix_key,
-                          write_requests=node.write_requests,
-                          elapsed=node.elapsed, key=key)
-
-    def _fetch(self, slot: _SpineSlot) -> _PrefixNode:
-        """Rehydrate a slot's full node (a disk read only if it spilled)."""
-        return self.spine_store.get(slot.key)
-
-    def _truncate_spine(self, length: int) -> None:
-        """Drop spine nodes past ``length``, releasing their stored state."""
-        for slot in self._spine[length:]:
-            self.spine_store.drop(slot.key)
-        del self._spine[length:]
-
-    def _freeze_prefix_payload(self, node: _PrefixNode) -> dict:
-        """Flatten a trie node to a picklable dict (slab views → bytes)."""
-        return {
-            "depth": node.depth,
-            "op": node.op,
-            "prefix_key": node.prefix_key,
-            "overlay": freeze_overlay(node.device),
-            "log": tuple(flatten_requests(node.log)),
-            "checkpoints": node.checkpoints,
-            "fs_state": node.fs_state,
-            "tracker_state": node.tracker_state,
-            "oracles": node.oracles,
-            "executed": node.executed,
-            "skipped": node.skipped,
-            "persistence_count": node.persistence_count,
-            "write_requests": node.write_requests,
-            "elapsed": node.elapsed,
-        }
-
-    def _thaw_prefix_payload(self, payload: dict) -> _PrefixNode:
-        """Rebuild a trie node from its spilled payload.
-
-        The device is reconstructed over the campaign's shared base image;
-        :meth:`CowDevice.from_overlay` is the exact inverse of the frozen
-        overlay delta, so the rehydrated node is content-identical to the
-        one that spilled (the tier-1 parity tests replay the full seq-1
-        space with a zero budget to prove it).
-        """
-        if self._shared_base is None:
-            self._shared_base = self._pristine_image.copy(name=f"{self.fs_name}-base")
-        depth = payload["depth"]
-        device = CowDevice.from_overlay(self._shared_base, payload["overlay"],
-                                        name=f"prefix-{depth}")
-        return _PrefixNode(
-            depth=depth,
-            op=payload["op"],
-            prefix_key=payload["prefix_key"],
-            device=device,
-            log=payload["log"],
-            checkpoints=payload["checkpoints"],
-            fs_state=payload["fs_state"],
-            tracker_state=payload["tracker_state"],
-            oracles=payload["oracles"],
-            executed=payload["executed"],
-            skipped=payload["skipped"],
-            persistence_count=payload["persistence_count"],
-            write_requests=payload["write_requests"],
-            elapsed=payload["elapsed"],
-        )
-
-    def _make_root_node(self, prefix_key: str, start: float) -> _PrefixNode:
-        """Format-and-mount once: the trie root every workload shares."""
-        if self._shared_base is None:
-            self._shared_base = self._pristine_image.copy(name=f"{self.fs_name}-base")
-        cow = CowDevice(self._shared_base, name="workload-cow")
-        recording_device = RecordingDevice(cow)
-        fs = self.fs_class(recording_device, self.bugs)
-        fs.mount()
-        tracker = PersistenceTracker(fs)
-        run = _LiveRun(recording_device, fs, tracker, {},
-                       WorkloadExecutor(fs, strict=self.strict))
-        return self._freeze(run, depth=0, op=None, prefix_key=prefix_key,
-                            elapsed=time.perf_counter() - start)
-
-    def _freeze(self, run: _LiveRun, depth: int, op: Optional[Operation],
-                prefix_key: str, elapsed: float) -> _PrefixNode:
-        """Capture the live run as an immutable trie node (O(1) device fork)."""
-        log = run.recording_device.log
-        return _PrefixNode(
-            depth=depth,
-            op=op,
-            prefix_key=prefix_key,
-            device=run.recording_device.target.snapshot(name=f"prefix-{depth}"),
-            log=log,
-            checkpoints=run.recording_device.num_checkpoints,
-            fs_state=_freeze_fs(run.fs, run.recording_device),
-            tracker_state=run.tracker.freeze_state(),
-            oracles=dict(run.oracles),
-            executed=run.executor.executed,
-            skipped=run.executor.skipped,
-            persistence_count=run.executor.persistence_count,
-            write_requests=sum(1 for request in log if request.is_write),
-            elapsed=elapsed,
-        )
-
-    def _resume_from(self, node: _PrefixNode) -> _LiveRun:
-        """Thaw a trie node into a fresh, independent live recording run."""
-        recording_device = RecordingDevice(
-            node.device.snapshot(name="workload-cow"), name="wrapper0"
-        )
-        recording_device.restore_log(node.log, node.checkpoints)
-        fs = _thaw_fs(node.fs_state, recording_device)
-        tracker = PersistenceTracker(fs)
-        tracker.restore_state(node.tracker_state)
-        executor = WorkloadExecutor(fs, strict=self.strict)
-        executor.executed = node.executed
-        executor.skipped = node.skipped
-        executor.persistence_count = node.persistence_count
-        return _LiveRun(recording_device, fs, tracker, dict(node.oracles), executor)
-
-    # ------------------------------------------------------------------ finish
-
-    def _finish(self, run: _LiveRun, workload: Workload, base_image: BlockDevice,
-                start: float, *, reused_ops: int, reused_writes: int,
-                seconds_saved: float, shared: bool) -> WorkloadProfile:
         # Stop recording before the safe unmount: the unmount's I/O is not part
         # of any crash state (every crash point precedes it).
-        run.recording_device.pause()
-        if run.fs.mounted:
-            run.fs.unmount(safe=True)
+        recording_device.pause()
+        if fs.mounted:
+            fs.unmount(safe=True)
         return WorkloadProfile(
             workload=workload,
             fs_name=self.fs_name,
             fs_model=self.fs_model,
             bugs=self.bugs,
-            base_image=base_image,
-            io_log=tuple(run.recording_device.log),
-            oracles=run.oracles,
-            tracker_views=run.tracker.views(),
-            num_checkpoints=run.recording_device.num_checkpoints,
+            base_image=self._base_image,
+            io_log=tuple(recording_device.log),
+            oracles=oracles,
+            tracker_views=tracker.views(),
+            num_checkpoints=recording_device.num_checkpoints,
             profile_seconds=time.perf_counter() - start,
-            executed_ops=run.executor.executed,
-            skipped_ops=run.executor.skipped,
-            recorded_bytes=run.recording_device.recorded_bytes(),
-            workload_overlay_bytes=run.recording_device.target.overlay_bytes(),
-            prefix_shared=shared,
-            prefix_ops_reused=reused_ops,
-            prefix_writes_reused=reused_writes,
-            prefix_seconds_saved=seconds_saved,
+            executed_ops=executor.executed,
+            skipped_ops=executor.skipped,
+            recorded_bytes=recording_device.recorded_bytes(),
+            workload_overlay_bytes=recording_device.target.overlay_bytes(),
         )

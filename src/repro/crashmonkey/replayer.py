@@ -23,7 +23,6 @@ plan additionally explores crashes that lose bounded subsets of the in-flight
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -35,7 +34,6 @@ from ..fs import fsck
 from ..fs.registry import get_fs_class
 from ..storage.cow_device import CowDevice
 from ..storage.io_request import IORequest
-from ..storage.spill import SpineStore, flatten_requests, freeze_overlay
 from .crashplan import CrashPlanner, CrashScenario, CrossWorkloadCache, PrefixPlanner
 from .oracle import Oracle
 from .recorder import WorkloadProfile
@@ -100,362 +98,6 @@ class _CheckpointRecord:
     state_digest: Optional[str] = None
 
 
-def default_share_replay() -> bool:
-    """Default for ``share_replay`` when callers pass ``None``.
-
-    Replay sharing is on by default; setting ``REPRO_NO_SHARE_REPLAY=1``
-    flips the default to from-scratch crash-state construction.  The CI test
-    matrix uses this to keep the reference construction path — the one the
-    shared builds are parity-proven against — covered by the full tier-1
-    suite.  Explicit ``share_replay=True/False`` arguments always win.  The
-    conventional "unset" spellings (empty, ``0``, ``false``, ``no``, ``off``)
-    keep sharing on, so ``REPRO_NO_SHARE_REPLAY=0`` does not silently
-    disable it.
-    """
-    return os.environ.get("REPRO_NO_SHARE_REPLAY", "").strip().lower() in (
-        "", "0", "false", "no", "off",
-    )
-
-
-def _requests_match(a: IORequest, b: IORequest) -> bool:
-    """Whether two recorded requests are the same request.
-
-    Identity is the fast path: prefix-shared recording hands every sibling
-    the *same* leading request objects, so matching a shared prefix is one
-    pointer comparison per entry.  From-scratch profiles carry equal-content
-    copies instead; field equality keeps replay sharing correct (never just
-    an optimization artifact) for them too.
-    """
-    if a is b:
-        return True
-    return (
-        a.seq == b.seq
-        and a.kind == b.kind
-        and a.block == b.block
-        and a.flags == b.flags
-        and a.checkpoint_id == b.checkpoint_id
-        and a.tag == b.tag
-        and (a.data == b.data if (a.data is not None and b.data is not None)
-             else a.data is b.data)
-    )
-
-
-@dataclass
-class _ReplayNode:
-    """Frozen cursor state after consuming a prefix of the recorded stream.
-
-    Captured at every flush barrier and checkpoint marker of the most
-    recently built workload — exactly the points where the one-pass build
-    already forks an O(1) snapshot, so freezing a node adds no device work.
-    A sibling workload whose recorded stream shares the node's prefix resumes
-    from here instead of re-applying every shared write.
-    """
-
-    #: number of io_log entries consumed to reach this state
-    index: int
-    #: frozen fork of the replay cursor (never written; siblings fork it)
-    cursor: CowDevice
-    #: stable fork as of the last flush barrier before ``index``
-    stable: CowDevice
-    #: in-flight window at ``index``, in issue order
-    window: Tuple[IORequest, ...]
-    #: checkpoint records completed so far (snapshot copy, shared records)
-    records: Dict[int, "_CheckpointRecord"]
-    #: running cross-workload digest state at ``index`` (None when the build
-    #: ran without a cross-workload cache)
-    hasher: Optional[object]
-    #: write requests applied from the start of the stream to reach this node
-    replayed_writes: int
-    #: build wall-clock seconds a from-scratch run spends reaching this node
-    elapsed: float
-    #: mechanism-analysis cursor state at ``index`` (None when the build ran
-    #: without static analysis); siblings resume the inference on their
-    #: shared prefix exactly like they resume the replay itself
-    analysis: Optional[AnalysisCursor] = None
-
-
-@dataclass
-class _TrailSlot:
-    """The always-resident stub of one trail node.
-
-    Holds the fields :meth:`SharedReplayCache.begin` reads without
-    rehydrating (prefix matching and reuse accounting) plus the two pieces
-    of state that cannot round-trip through pickle: the running sha1 digest
-    and the analysis cursor.  Both stay resident in the slot — they are tiny
-    compared to the device forks — and are reattached to the node after a
-    rehydration.
-    """
-
-    index: int
-    replayed_writes: int
-    elapsed: float
-    #: retrieval key of the full :class:`_ReplayNode` in the spine store
-    key: int
-    hasher: Optional[object]
-    analysis: Optional[AnalysisCursor]
-
-
-class SharedReplayCache:
-    """Replay-trie spine shared by sibling workloads' crash-state builds.
-
-    The replay counterpart of the recorder's prefix-shared trie: ACE sibling
-    families share long recorded-stream prefixes (byte-identical when
-    recording was prefix-shared, content-identical otherwise), so the
-    one-pass crash-state construction of each sibling re-applies the same
-    prefix writes onto the same base image.  This cache keeps the frozen
-    cursor forks of the most recently built workload, keyed by stream prefix;
-    the next sibling resumes from the deepest node on its longest shared
-    prefix and replays only its own suffix.  The resulting checkpoint records
-    (hence every crash state any planner derives from them) are byte-for-byte
-    identical to from-scratch construction — the shared prefix writes are
-    just applied once instead of once per sibling.
-
-    Like the recording trie, a single cached path is enough for ACE's
-    depth-first family order; an out-of-order stream merely falls back to
-    building from scratch (the cache is an optimization, never a correctness
-    requirement).
-    """
-
-    def __init__(self, spine_store: Optional[SpineStore] = None):
-        """
-        Args:
-            spine_store: budgeted spill store for the frozen trail.  Pass the
-                harness-wide store so recorder and replay spines share one
-                resident budget; ``None`` builds a private store with the
-                default budget.  Crash states are byte-for-byte identical
-                whether nodes spill or stay resident.
-        """
-        #: budgeted node store; frozen trail nodes live here and spill to
-        #: disk when the resident budget is exceeded
-        self.spine_store = spine_store if spine_store is not None else SpineStore(
-            name="replay"
-        )
-        self.spine_store.register_codec(
-            "replay", self._freeze_replay_payload, self._thaw_replay_payload
-        )
-        #: always-resident stubs of the cached trail; the full nodes live in
-        #: :attr:`spine_store`
-        self._trail: List[_TrailSlot] = []
-        self._log: Tuple[IORequest, ...] = ()
-        self._base = None
-        self._hashed = False
-        self._analyzed = False
-        # -- campaign-lifetime accounting ------------------------------------
-        #: builds that resumed from the cache instead of starting from scratch
-        self.replay_hits = 0
-        #: write requests inherited from shared prefixes across all builds
-        self.replay_writes_reused = 0
-        #: build seconds saved by resuming instead of re-applying prefixes
-        self.replay_seconds_saved = 0.0
-
-    def clear(self) -> None:
-        """Drop the cached trail, restoring the full freshly-constructed state.
-
-        Every piece of matching state is reset — not just the trail list:
-        a cleared cache must behave exactly like a new one, so ``begin`` can
-        never seed a resume from a stale digest/analysis mode or a stale
-        base-image reference after a spill-triggered (or any other) clear.
-        """
-        for slot in self._trail:
-            self.spine_store.drop(slot.key)
-        self._trail = []
-        self._log = ()
-        self._base = None
-        self._hashed = False
-        self._analyzed = False
-
-    # ------------------------------------------------------------------ matching
-
-    def _base_matches(self, base) -> bool:
-        if base is self._base:
-            return True
-        return (
-            self._base is not None
-            and base.num_blocks == self._base.num_blocks
-            and base.content_equal(self._base)
-        )
-
-    def _shared_prefix_len(self, log: Sequence[IORequest]) -> int:
-        old = self._log
-        limit = min(len(old), len(log))
-        index = 0
-        while index < limit and _requests_match(old[index], log[index]):
-            index += 1
-        return index
-
-    # ------------------------------------------------------------------ build protocol
-
-    def begin(self, profile: WorkloadProfile, want_hasher: bool,
-              want_analysis: bool = False) -> Optional[_ReplayNode]:
-        """Start a build for ``profile``; returns the resume node or None.
-
-        Drops trail nodes past the divergence point (they belong to the
-        previous sibling's suffix) and resets the trail entirely when the
-        base image, digest mode or analysis mode changed — a node frozen
-        without a running digest (or analysis cursor) cannot seed a build
-        that needs one, and vice versa.
-        """
-        log = profile.io_log
-        node: Optional[_ReplayNode] = None
-        if (self._trail and self._hashed == want_hasher
-                and self._analyzed == want_analysis
-                and self._base_matches(profile.base_image)):
-            shared = self._shared_prefix_len(log)
-            while self._trail and self._trail[-1].index > shared:
-                self.spine_store.drop(self._trail.pop().key)
-            if self._trail:
-                node = self._fetch(self._trail[-1])
-        if node is None:
-            for slot in self._trail:
-                self.spine_store.drop(slot.key)
-            self._trail = []
-            self._base = profile.base_image
-        else:
-            self.replay_hits += 1
-            self.replay_writes_reused += node.replayed_writes
-            self.replay_seconds_saved += node.elapsed
-        self._log = log
-        self._hashed = want_hasher
-        self._analyzed = want_analysis
-        return node
-
-    def freeze(self, *, index: int, cursor: CowDevice, stable: CowDevice,
-               window: Tuple[IORequest, ...],
-               records: Dict[int, "_CheckpointRecord"],
-               hasher: Optional[object], replayed_writes: int,
-               elapsed: float, analysis: Optional[AnalysisCursor] = None) -> None:
-        """Append a trail node for the build in progress.
-
-        ``records``, ``hasher`` and ``analysis`` are snapshotted here (the
-        walk keeps mutating its own copies); ``cursor``/``stable`` are
-        already frozen forks, shared as-is.
-        """
-        node = _ReplayNode(
-            index=index,
-            cursor=cursor,
-            stable=stable,
-            window=window,
-            records=dict(records),
-            hasher=hasher.copy() if hasher is not None else None,
-            replayed_writes=replayed_writes,
-            elapsed=elapsed,
-            analysis=analysis.copy() if analysis is not None else None,
-        )
-        self._trail.append(self._remember(node))
-
-    # ------------------------------------------------------------------ trail spill
-
-    def _remember(self, node: _ReplayNode) -> _TrailSlot:
-        """Hand a frozen node to the spine store, keeping a resident stub."""
-        seen = set()
-        nbytes = 0
-        for device in self._node_devices(node):
-            if id(device) not in seen:
-                seen.add(id(device))
-                nbytes += device.overlay_bytes()
-        nbytes += sum(request.size_bytes() for request in node.window)
-        for record in node.records.values():
-            nbytes += sum(request.size_bytes() for request in record.window)
-        key = self.spine_store.put("replay", node, nbytes)
-        return _TrailSlot(index=node.index, replayed_writes=node.replayed_writes,
-                          elapsed=node.elapsed, key=key,
-                          hasher=node.hasher, analysis=node.analysis)
-
-    def _fetch(self, slot: _TrailSlot) -> _ReplayNode:
-        """Rehydrate a slot's full node, reattaching the resident cursors.
-
-        The sha1 digest object and the analysis cursor cannot round-trip
-        through pickle, so they live in the slot; a node that never spilled
-        already holds the same objects and the reattachment is a no-op.
-        """
-        node = self.spine_store.get(slot.key)
-        node.hasher = slot.hasher
-        node.analysis = slot.analysis
-        return node
-
-    @staticmethod
-    def _node_devices(node: _ReplayNode):
-        """The node's device forks, in a stable order (with duplicates)."""
-        yield node.cursor
-        yield node.stable
-        for record in node.records.values():
-            yield record.baseline
-            yield record.stable
-
-    def _freeze_replay_payload(self, node: _ReplayNode) -> dict:
-        """Flatten a trail node to a picklable dict.
-
-        Devices are serialized through an identity table: each distinct
-        ``CowDevice`` fork becomes one overlay delta, and every reference to
-        it (cursor, stable, record baselines/stables) becomes an index into
-        that table.  Rehydration therefore preserves the node's *identity
-        topology* — records that shared a stable fork still share one — which
-        the scenario dedup key (``id(record.stable)``) relies on.  The
-        digest/analysis cursors are deliberately excluded; they stay resident
-        in the trail slot.
-        """
-        devices: List[CowDevice] = []
-        index_of: Dict[int, int] = {}
-
-        def ref(device: CowDevice) -> int:
-            token = id(device)
-            if token not in index_of:
-                index_of[token] = len(devices)
-                devices.append(device)
-            return index_of[token]
-
-        records = {
-            cid: (record.checkpoint_id, ref(record.baseline), ref(record.stable),
-                  tuple(flatten_requests(record.window)), record.state_digest)
-            for cid, record in node.records.items()
-        }
-        return {
-            "index": node.index,
-            "cursor": ref(node.cursor),
-            "stable": ref(node.stable),
-            "window": tuple(flatten_requests(node.window)),
-            "records": records,
-            "replayed_writes": node.replayed_writes,
-            "elapsed": node.elapsed,
-            "overlays": [freeze_overlay(device) for device in devices],
-            "names": [device.name for device in devices],
-        }
-
-    def _thaw_replay_payload(self, payload: dict) -> _ReplayNode:
-        """Rebuild a trail node from its spilled payload.
-
-        Rebuilt over ``self._base``: thawing only happens through ``begin``,
-        whose guard has already established that the current build's base is
-        content-identical to the one the node was frozen against.
-        """
-        devices = [
-            CowDevice.from_overlay(self._base, overlay, name=name)
-            for overlay, name in zip(payload["overlays"], payload["names"])
-        ]
-        records = {
-            cid: _CheckpointRecord(
-                checkpoint_id=checkpoint_id,
-                baseline=devices[baseline_ref],
-                stable=devices[stable_ref],
-                window=window,
-                state_digest=state_digest,
-            )
-            for cid, (checkpoint_id, baseline_ref, stable_ref, window, state_digest)
-            in payload["records"].items()
-        }
-        return _ReplayNode(
-            index=payload["index"],
-            cursor=devices[payload["cursor"]],
-            stable=devices[payload["stable"]],
-            window=payload["window"],
-            records=records,
-            hasher=None,
-            replayed_writes=payload["replayed_writes"],
-            elapsed=payload["elapsed"],
-            analysis=None,
-        )
-
-
 def _normalized_tracker_view(view: TrackerView) -> Tuple:
     """Tracker view with the checkpoint numbering stripped, for equivalence."""
     files = {ino: replace(f, last_checkpoint=0) for ino, f in view.files.items()}
@@ -503,7 +145,6 @@ class CrashStateGenerator:
                  planner: Optional[CrashPlanner] = None,
                  dedup_scenarios: bool = True,
                  cross_cache: Optional[CrossWorkloadCache] = None,
-                 replay_cache: Optional[SharedReplayCache] = None,
                  analyze: Optional[bool] = None):
         self.profile = profile
         self.fs_class = get_fs_class(profile.fs_name)
@@ -535,20 +176,10 @@ class CrashStateGenerator:
         #: expectations were already tested by an *earlier workload* (ACE
         #: siblings sharing a prefix re-reach the same persistence points)
         self.cross_cache = cross_cache
-        #: replay-trie spine resuming the one-pass build from the deepest
-        #: cursor fork on the recorded stream's shared sibling prefix
-        self.replay_cache = replay_cache
         #: write requests applied to devices so far (one per recorded write
         #: for the single cursor pass, plus the re-applied window writes of
         #: each non-baseline scenario)
         self.replayed_write_requests = 0
-        #: True when the build resumed from the shared replay trail
-        self.replay_shared = False
-        #: write requests inherited from the shared trail instead of replayed
-        self.replay_writes_reused = 0
-        #: build seconds the trail resume avoided (the cached wall clock a
-        #: from-scratch build spends reaching the resume point)
-        self.replay_seconds_saved = 0.0
         #: scenarios skipped by cross-checkpoint dedup (each one would have
         #: constructed, mounted and checked a state identical to one already
         #: tested — and double-counted its bug reports)
@@ -565,56 +196,24 @@ class CrashStateGenerator:
     def _ensure_built(self) -> Dict[int, _CheckpointRecord]:
         """Walk the recorded stream once, forking a snapshot per checkpoint.
 
-        With a :class:`SharedReplayCache` attached, the walk resumes from the
-        deepest cached cursor fork on the stream's shared sibling prefix:
-        checkpoint records inside the prefix are inherited as-is (they are
-        the same frozen forks the sibling's build produced) and only the
-        suffix's requests are applied.  Either way the records — and every
-        crash state derived from them — are byte-for-byte what a from-scratch
-        walk produces.
+        The same pass feeds the cross-workload dedup digest and the static
+        mechanism analysis, when either is on.
         """
         if self._records is not None:
             return self._records
         start = time.perf_counter()
-        cache = self.replay_cache
-        log = self.profile.io_log
-        node = cache.begin(self.profile, want_hasher=self.cross_cache is not None,
-                           want_analysis=self.analyze) \
-            if cache is not None else None
-        if node is not None:
-            records: Dict[int, _CheckpointRecord] = dict(node.records)
-            cursor = node.cursor.snapshot(name="replay-cursor")
-            stable = node.stable
-            window: List[IORequest] = list(node.window)
-            hasher = node.hasher.copy() if node.hasher is not None else None
-            analysis = node.analysis.copy() if node.analysis is not None else None
-            if analysis is None and self.analyze:
-                # Trail frozen before analysis existed (mode just flipped):
-                # re-derive the prefix facts from the shared log itself.
-                analysis = AnalysisCursor().feed_all(log[: node.index])
-            start_index = node.index
-            replayed = node.replayed_writes
-            base_elapsed = node.elapsed
-            self.replay_shared = True
-            self.replay_writes_reused = node.replayed_writes
-            self.replay_seconds_saved = node.elapsed
-        else:
-            records = {}
-            cursor = CowDevice(self.profile.base_image, name="replay-cursor")
-            stable = cursor.snapshot(name="replay-stable")
-            window = []
-            # Running digest over the storage-changing stream (cross-workload
-            # dedup keys); checkpoint markers are skipped so the flush-free
-            # repeat of a persistence point digests identically to its twin.
-            hasher = hashlib.sha1(
-                f"{self.profile.fs_name}:{self.profile.base_image.num_blocks}:".encode("ascii")
-            ) if self.cross_cache is not None else None
-            analysis = AnalysisCursor() if self.analyze else None
-            start_index = 0
-            replayed = 0
-            base_elapsed = 0.0
-        for index in range(start_index, len(log)):
-            request = log[index]
+        records: Dict[int, _CheckpointRecord] = {}
+        cursor = CowDevice(self.profile.base_image, name="replay-cursor")
+        stable = cursor.snapshot(name="replay-stable")
+        window: List[IORequest] = []
+        # Running digest over the storage-changing stream (cross-workload
+        # dedup keys); checkpoint markers are skipped so the flush-free
+        # repeat of a persistence point digests identically to its twin.
+        hasher = hashlib.sha1(
+            f"{self.profile.fs_name}:{self.profile.base_image.num_blocks}:".encode("ascii")
+        ) if self.cross_cache is not None else None
+        analysis = AnalysisCursor() if self.analyze else None
+        for request in self.profile.io_log:
             if analysis is not None:
                 analysis.feed(request)
             if request.is_write:
@@ -624,7 +223,6 @@ class CrashStateGenerator:
                     )
                 cursor.write_block(request.block, request.data)
                 self.replayed_write_requests += 1
-                replayed += 1
                 window.append(request)
                 if hasher is not None:
                     flags = ",".join(flag.value for flag in request.flags)
@@ -637,33 +235,14 @@ class CrashStateGenerator:
                 window = []
                 if hasher is not None:
                     hasher.update(b"f:")
-                if cache is not None:
-                    # The stable fork *is* a frozen cursor fork: caching it
-                    # costs no extra device work.
-                    cache.freeze(
-                        index=index + 1, cursor=stable, stable=stable,
-                        window=(), records=records, hasher=hasher,
-                        replayed_writes=replayed,
-                        elapsed=base_elapsed + time.perf_counter() - start,
-                        analysis=analysis,
-                    )
             elif request.is_checkpoint and request.checkpoint_id is not None:
-                baseline = cursor.snapshot(name=f"crash-{request.checkpoint_id}")
                 records[request.checkpoint_id] = _CheckpointRecord(
                     checkpoint_id=request.checkpoint_id,
-                    baseline=baseline,
+                    baseline=cursor.snapshot(name=f"crash-{request.checkpoint_id}"),
                     stable=stable,
                     window=tuple(window),
                     state_digest=hasher.hexdigest() if hasher is not None else None,
                 )
-                if cache is not None:
-                    cache.freeze(
-                        index=index + 1, cursor=baseline, stable=stable,
-                        window=tuple(window), records=records, hasher=hasher,
-                        replayed_writes=replayed,
-                        elapsed=base_elapsed + time.perf_counter() - start,
-                        analysis=analysis,
-                    )
         self._records = records
         if analysis is not None:
             # Second static pass: the contract auditor re-checks every claim

@@ -292,26 +292,6 @@ class CrashTestResult:
     crash_state_overlay_bytes: int = 0
     executed_ops: int = 0
     skipped_ops: int = 0
-    #: prefix-shared recording accounting: True when the profile resumed from
-    #: the recorder's shared-prefix cache instead of re-running mkfs + prefix
-    prefix_shared: bool = False
-    #: operations inherited from the shared prefix instead of re-executed
-    prefix_ops_reused: int = 0
-    #: write requests inherited from the shared prefix (recorded_requests
-    #: still counts them: the io_log is identical to from-scratch recording)
-    prefix_writes_reused: int = 0
-    #: recording seconds the prefix reuse avoided for this workload
-    prefix_seconds_saved: float = 0.0
-    #: shared-replay accounting: True when the crash-state build resumed from
-    #: the replay trail instead of re-applying the shared stream prefix
-    replay_shared: bool = False
-    #: write requests inherited from the shared replay trail
-    #: (``replayed_write_requests`` counts only the fresh ones)
-    replay_writes_reused: int = 0
-    #: build seconds the trail resume avoided for this workload; together
-    #: with ``replay_seconds`` (the fresh-build component actually paid)
-    #: this splits construction time into trie-hit vs fresh-replay parts
-    replay_seconds_saved: float = 0.0
     #: mechanism-planner accounting: checkpoints whose crash window was
     #: collapsed to representative states by an inferred mechanism, and
     #: checkpoints where the planner fell back to the exhaustive torn plan.
@@ -326,20 +306,11 @@ class CrashTestResult:
     #: report (0 on a correct file system; >= 1 whenever a reference bug
     #: breaks a claimed mechanism contract)
     audit_demotions: int = 0
-    #: spine-spill telemetry (session, not canonical: how much spilled
-    #: depends on the budget and on which workloads shared a harness).
-    #: Bytes of frozen spine nodes resident in the harness's spill store
-    #: after this workload
-    spine_resident_bytes: int = 0
-    #: high-water mark of resident spine bytes over the harness's lifetime
-    #: (bounded by the configured budget)
-    spine_peak_resident_bytes: int = 0
-    #: bytes of spine nodes written to the spill directory for this workload
-    spine_spilled_bytes: int = 0
-    #: spine nodes spilled to disk while testing this workload
-    spine_spills: int = 0
-    #: spilled spine nodes read back from disk while testing this workload
-    spine_rehydrations: int = 0
+
+    # Read only by perfbench/rep.py; always 0 now that recording has no shared prefixes.
+    @property
+    def prefix_writes_reused(self) -> int:
+        return 0
 
     @property
     def passed(self) -> bool:
@@ -367,30 +338,21 @@ class CrashTestResult:
         "check_seconds", "replayed_write_requests",
         "recorded_requests", "recorded_bytes", "crash_state_overlay_bytes",
         "executed_ops", "skipped_ops",
-        "prefix_shared", "prefix_ops_reused", "prefix_writes_reused",
-        "prefix_seconds_saved",
-        "replay_shared", "replay_writes_reused", "replay_seconds_saved",
         "mechanism_checkpoints", "mechanism_fallback_checkpoints",
         "mechanism_demoted_checkpoints", "audit_demotions",
-        "spine_resident_bytes", "spine_peak_resident_bytes",
-        "spine_spilled_bytes", "spine_spills", "spine_rehydrations",
     )
 
     #: fields that describe *how this session happened to run*, not what was
-    #: tested: wall-clock timings, and the prefix/replay sharing telemetry,
-    #: which depends on which workloads shared a harness (chunk -> worker
-    #: assignment under a pool, session boundaries under a durable resume).
+    #: tested: wall-clock timings, and the replayed-write count, which
+    #: cross-workload dedup makes depend on which workloads shared a harness
+    #: (chunk -> worker assignment under a pool, session boundaries under a
+    #: durable resume).
     #: ``canonical_dict`` drops these so "same campaign" can be compared
     #: across schedules; everything else — reports, scenario and dedup
     #: counts, recorded profiles — is schedule-invariant.
     SESSION_FIELDS: ClassVar[Tuple[str, ...]] = (
         "profile_seconds", "replay_seconds", "mount_seconds", "fsck_seconds",
         "check_seconds", "replayed_write_requests",
-        "prefix_shared", "prefix_ops_reused", "prefix_writes_reused",
-        "prefix_seconds_saved",
-        "replay_shared", "replay_writes_reused", "replay_seconds_saved",
-        "spine_resident_bytes", "spine_peak_resident_bytes",
-        "spine_spilled_bytes", "spine_spills", "spine_rehydrations",
     )
 
     def to_dict(self) -> dict:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -148,29 +147,6 @@ class PersistenceTracker:
 
     def views(self) -> Dict[int, TrackerView]:
         return dict(self._views)
-
-    # ------------------------------------------------------------------ freeze/thaw
-
-    def freeze_state(self) -> Tuple:
-        """Opaque snapshot of the live tracking state (plus shared views).
-
-        The live records (``_files``/``_dirs``/``_renames``) are serialized
-        because tracking mutates them in place (pickle is several times
-        cheaper than deep-copying, and freezing happens per operation of
-        every profiled workload); the per-checkpoint views are shared
-        because they are frozen at capture time and never touched again.
-        Together with :meth:`restore_state` this lets prefix-shared
-        profiling fork the tracker at an operation boundary.
-        """
-        blob = pickle.dumps((self._files, self._dirs, self._renames),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        return (blob, dict(self._views))
-
-    def restore_state(self, state: Tuple) -> None:
-        """Adopt a :meth:`freeze_state` snapshot (thawing a private copy)."""
-        blob, views = state
-        self._files, self._dirs, self._renames = pickle.loads(blob)
-        self._views = dict(views)
 
     # ------------------------------------------------------------------ tracking helpers
 

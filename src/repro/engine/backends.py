@@ -5,8 +5,8 @@ chunks and yields one :class:`ChunkOutcome` per chunk, in *completion* order.
 Two implementations cover the portable and the parallel case:
 
 * :class:`SerialBackend` — one harness, one process.  The harness is built
-  once and reused for every chunk (the recorder re-copies its pristine image
-  per workload, so no state leaks between workloads).
+  once and reused for every chunk (the recorder starts every workload from
+  its pristine image, so no state leaks between workloads).
 * :class:`ProcessPoolBackend` — the paper's cluster in miniature.  Each worker
   process builds a worker-local harness in its initializer and keeps it for
   the whole run; chunks are dispatched ``imap_unordered``-style with a bounded
@@ -48,12 +48,6 @@ class ChunkStats:
     seconds: float
     failing_workloads: int
     worker: str
-    #: workloads in this chunk whose profile resumed from the worker's
-    #: prefix cache (prefix-affine chunking keeps this high for ACE streams)
-    prefix_hits: int = 0
-    #: workloads in this chunk whose crash-state build resumed from the
-    #: worker's shared replay trail
-    replay_hits: int = 0
     #: crash scenarios this chunk skipped via the worker's cross-workload
     #: dedup cache
     cross_deduped_scenarios: int = 0
@@ -75,14 +69,6 @@ class ChunkOutcome:
         return sum(1 for result in self.results if not result.passed)
 
     @property
-    def prefix_hits(self) -> int:
-        return sum(1 for result in self.results if result.prefix_shared)
-
-    @property
-    def replay_hits(self) -> int:
-        return sum(1 for result in self.results if result.replay_shared)
-
-    @property
     def cross_deduped_scenarios(self) -> int:
         return sum(result.cross_deduped_scenarios for result in self.results)
 
@@ -94,8 +80,6 @@ class ChunkOutcome:
             seconds=self.seconds,
             failing_workloads=self.failing_workloads,
             worker=self.worker,
-            prefix_hits=self.prefix_hits,
-            replay_hits=self.replay_hits,
             cross_deduped_scenarios=self.cross_deduped_scenarios,
         )
 

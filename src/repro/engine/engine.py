@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from ..core.results import CampaignResult
-from ..crashmonkey.recorder import default_share_prefixes
 from ..fs.registry import models, resolve_fs_name
 from ..workload.workload import Workload
 from .backends import (
@@ -32,7 +31,7 @@ from .backends import (
     make_backend,
 )
 from .spec import HarnessSpec
-from .stream import TimedIterator, chunked, chunked_affine
+from .stream import TimedIterator, chunked_affine
 
 #: Default chunk size: large enough to amortize dispatch, small enough for
 #: balanced progress reporting and bounded in-flight memory.
@@ -100,8 +99,7 @@ class CampaignEngine:
                  backend: Optional[ExecutionBackend] = None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  progress: Optional[ProgressCallback] = None,
-                 preserve_order: bool = True,
-                 prefix_affine: Optional[bool] = None):
+                 preserve_order: bool = True):
         """
         Args:
             spec: how workers build their harnesses.
@@ -111,32 +109,25 @@ class CampaignEngine:
             preserve_order: reassemble results into input-stream order after
                 unordered completion, so serial and parallel runs return
                 identical orderings.
-            prefix_affine: cut chunk boundaries at ACE sibling-family
-                boundaries (equal :meth:`Workload.family_key` runs stay in
-                one chunk), so a pool worker's prefix cache and cross-workload
-                dedup cache see a family's shared prefix together instead of
-                split across workers.  Never reorders the stream.  ``None``
-                (the default) follows ``spec.share_prefixes``.
+
+        Chunk boundaries fall on ACE sibling-family boundaries (equal
+        :meth:`Workload.family_key` runs stay in one chunk), so a pool
+        worker's cross-workload dedup cache sees a whole family instead of a
+        family split across workers.  The stream is never reordered.
         """
         self.spec = spec
         self.backend = backend if backend is not None else SerialBackend()
         self.chunk_size = chunk_size
         self.progress = progress
         self.preserve_order = preserve_order
-        if prefix_affine is None:
-            prefix_affine = (default_share_prefixes() if spec.share_prefixes is None
-                             else spec.share_prefixes)
-        self.prefix_affine = prefix_affine
         self.fs_name = resolve_fs_name(spec.fs_name)
         self.fs_model = models(self.fs_name)
 
     # ------------------------------------------------------------------ running
 
     def _chunked(self, timed: TimedIterator):
-        if self.prefix_affine:
-            return chunked_affine(timed, self.chunk_size,
-                                  key=lambda workload: workload.family_key())
-        return chunked(timed, self.chunk_size)
+        return chunked_affine(timed, self.chunk_size,
+                              key=lambda workload: workload.family_key())
 
     def run(self, workloads: Iterable[Workload], label: str = "") -> EngineRun:
         """Stream ``workloads`` through the backend; chunking is the engine's."""

@@ -5,8 +5,9 @@ other processes, so instead of shipping a live harness (which drags the whole
 file-system object graph through pickle) they ship a small, frozen *spec* —
 everything needed to build an equivalent harness on the other side.  A worker
 builds its harness once from the spec and then reuses it for every workload it
-tests; the harness itself re-mkfs-es (copies the pristine image) per workload,
-which is B3's fixed-initial-state bound.
+tests; the harness itself starts every workload from the same pristine image
+(a fresh copy-on-write overlay over it), which is B3's fixed-initial-state
+bound.
 """
 
 from __future__ import annotations
@@ -45,23 +46,10 @@ class HarnessSpec:
     #: skip crash states at a checkpoint that provably repeats an earlier one
     #: (same stable fork, window and expectations — flush-free windows)
     dedup_scenarios: bool = True
-    #: record shared ACE-sibling operation prefixes once per worker, resuming
-    #: each sibling's profile from an O(1) snapshot fork (profiles stay
-    #: byte-for-byte identical to from-scratch recording).  Also makes the
-    #: engine chunk prefix-affinely so siblings land on the same worker.
-    #: ``None`` follows the recorder's default (on, unless the
-    #: ``REPRO_NO_SHARE_PREFIXES`` environment variable is set).
-    share_prefixes: Optional[bool] = None
-    #: resume each workload's one-pass crash-state build from the deepest
-    #: cached cursor fork on its recorded stream's shared sibling prefix
-    #: (crash states stay byte-for-byte identical to from-scratch
-    #: construction).  ``None`` follows the replayer's default (on, unless
-    #: the ``REPRO_NO_SHARE_REPLAY`` environment variable is set).
-    share_replay: Optional[bool] = None
     #: skip crash states already tested by an earlier workload of the same
     #: worker harness (byte-identical states and expectations).  The cache is
     #: per harness: campaign-wide under the serial backend, per worker under
-    #: a pool — prefix-affine chunking keeps sibling families on one worker,
+    #: a pool — family-affine chunking keeps sibling families on one worker,
     #: so pool runs dedup the same sibling repeats, but counts can differ
     #: from serial when a family is split across workers (unless a
     #: ``global_dedup_cache`` path is set).
@@ -80,15 +68,6 @@ class HarnessSpec:
     #: enables it exactly when the crash plan consumes the report (the
     #: ``mechanism`` plan), ``True`` forces it (overhead measurement)
     analyze_mechanisms: Optional[bool] = None
-    #: resident-byte budget shared by each worker harness's two trie spines;
-    #: frozen nodes beyond it spill to disk and rehydrate transparently.
-    #: ``None`` follows the spill store's default (generous; the
-    #: ``REPRO_SPINE_BUDGET`` environment variable can lower it)
-    spine_memory_budget: Optional[int] = None
-    #: directory spilled spine nodes are written to; every worker built from
-    #: this spec shares it (file names are pid-unique).  ``None`` gives each
-    #: worker a private temporary directory
-    spine_spill_dir: Optional[str] = None
     kernel_version: str = "4.16"
 
     def build(self) -> CrashMonkey:
@@ -105,13 +84,9 @@ class HarnessSpec:
             reorder_bound=self.reorder_bound,
             torn_bound=self.torn_bound,
             dedup_scenarios=self.dedup_scenarios,
-            share_prefixes=self.share_prefixes,
-            share_replay=self.share_replay,
             cross_workload_dedup=self.cross_workload_dedup,
             global_dedup_cache=self.global_dedup_cache,
             dedup_scope=self.dedup_scope,
             analyze_mechanisms=self.analyze_mechanisms,
-            spine_memory_budget=self.spine_memory_budget,
-            spine_spill_dir=self.spine_spill_dir,
             kernel_version=self.kernel_version,
         )

@@ -71,10 +71,11 @@ def chunked_affine(items: Iterable[T], chunk_size: int,
     A chunk is flushed once it holds at least ``chunk_size`` items *and* the
     next item starts a new affinity group (``key`` changes between
     consecutive items), so a run of equal-key items — an ACE sibling family,
-    whose members share the recording prefixes a worker's prefix cache can
-    reuse — never spans two chunks.  ``max_chunk_size`` (default
-    ``4 * chunk_size``) bounds the stretch: a single group larger than that
-    is split anyway, trading some cache warmth for bounded in-flight memory.
+    whose members re-reach the persistence points a worker's cross-workload
+    dedup cache has seen — never spans two chunks.  ``max_chunk_size``
+    (default ``4 * chunk_size``) bounds the stretch: a single group larger
+    than that is split anyway, trading some dedup for bounded in-flight
+    memory.
 
     Affinity only changes *where* chunk boundaries fall, never the item
     order: concatenating the chunks always reproduces the input stream, so

@@ -108,11 +108,7 @@ def _write_json_block(device, block: int, payload: dict, *, metadata: bool = Tru
         device.write_block(block, raw)
 
 
-def _decode_json_bytes(raw) -> Optional[dict]:
-    if isinstance(raw, memoryview):
-        # Slab-backed devices hand out zero-copy views; JSON decoding needs
-        # bytes semantics (rstrip/decode), so materialize just this block.
-        raw = raw.tobytes()
+def _decode_json_bytes(raw: bytes) -> Optional[dict]:
     raw = raw.rstrip(b"\x00")
     if not raw:
         return None

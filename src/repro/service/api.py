@@ -71,13 +71,9 @@ def config_to_dict(config: CampaignConfig) -> dict:
         "reorder_bound": config.reorder_bound,
         "torn_bound": config.torn_bound,
         "dedup_scenarios": config.dedup_scenarios,
-        "share_prefixes": config.share_prefixes,
-        "share_replay": config.share_replay,
         "cross_workload_dedup": config.cross_workload_dedup,
         "global_dedup_cache": config.global_dedup_cache,
         "analyze_mechanisms": config.analyze_mechanisms,
-        "spine_memory_budget": config.spine_memory_budget,
-        "spine_spill_dir": config.spine_spill_dir,
         "processes": config.processes,
         "chunk_size": config.chunk_size,
     }
@@ -117,13 +113,9 @@ def config_from_dict(payload: dict) -> CampaignConfig:
         reorder_bound=payload.get("reorder_bound", 2),
         torn_bound=payload.get("torn_bound", 2),
         dedup_scenarios=payload.get("dedup_scenarios", True),
-        share_prefixes=payload.get("share_prefixes"),
-        share_replay=payload.get("share_replay"),
         cross_workload_dedup=payload.get("cross_workload_dedup", False),
         global_dedup_cache=payload.get("global_dedup_cache"),
         analyze_mechanisms=payload.get("analyze_mechanisms"),
-        spine_memory_budget=payload.get("spine_memory_budget"),
-        spine_spill_dir=payload.get("spine_spill_dir"),
         processes=payload.get("processes", 1),
         chunk_size=payload.get("chunk_size"),
     )
@@ -202,8 +194,6 @@ class TenantUsage:
     scenarios_tested: int = 0
     deduped_scenarios: int = 0
     cross_deduped_scenarios: int = 0
-    prefix_hits: int = 0
-    replay_hits: int = 0
     worker_seconds: float = 0.0
 
     def describe(self) -> str:

@@ -4,7 +4,7 @@
 a campaign survives the death of the process running it:
 
 * **Deterministic chunk census.**  The workload stream (synthesizer ->
-  adapter -> prefix-affine chunker) is deterministic per config, so chunks
+  adapter -> family-affine chunker) is deterministic per config, so chunks
   can be enumerated identically in every session.  Each chunk's identity is
   a digest over its members' :meth:`~repro.workload.workload.Workload.prefix_key`
   — content-derived, so a drifted config (different bounds, different ops)
@@ -13,8 +13,8 @@ a campaign survives the death of the process running it:
   (register, then claim-or-skip, chunk by chunk), and a session that hits
   its slice quota keeps draining the stream so the census still completes —
   from then on totals are served from the store.  Chunking stays
-  prefix-affine, so a resumed session keeps whole ACE sibling families on
-  one worker and loses none of the prefix/replay sharing.
+  family-affine, so a resumed session keeps whole ACE sibling families on
+  one worker.
 * **Crash recovery.**  Every session starts with
   :meth:`~repro.service.statedb.CampaignStateDB.recover_from_crash` (orphaned
   ``processing`` chunks go back to ``pending``), skips chunks already
@@ -37,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
-import shutil
 import signal
 from dataclasses import replace
 from typing import Iterator, List, Optional, Tuple
@@ -229,15 +228,6 @@ class DurableCampaignRunner:
                 # times it was interrupted.
                 spec = replace(spec, global_dedup_cache=db.path,
                                dedup_scope=campaign_id)
-            if spec.spine_spill_dir is None and db.path != ":memory:":
-                # Spilled spine nodes live beside the state database so a
-                # resumed session reuses one well-known location.  The files
-                # are session-scoped scratch (every session refreezes its own
-                # spine), so stale ones from a crashed session are purged
-                # rather than trusted.
-                session_dir = os.path.join(f"{db.path}.spine", campaign_id)
-                shutil.rmtree(session_dir, ignore_errors=True)
-                spec = replace(spec, spine_spill_dir=session_dir)
             engine = self._chunk_engine(progress, spec)
 
             def pending_chunks():

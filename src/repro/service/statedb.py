@@ -80,8 +80,6 @@ CREATE TABLE IF NOT EXISTS chunks (
     scenarios     INTEGER NOT NULL DEFAULT 0,
     deduped       INTEGER NOT NULL DEFAULT 0,
     cross_deduped INTEGER NOT NULL DEFAULT 0,
-    prefix_hits   INTEGER NOT NULL DEFAULT 0,
-    replay_hits   INTEGER NOT NULL DEFAULT 0,
     cpu_seconds   REAL NOT NULL DEFAULT 0,
     PRIMARY KEY (campaign_id, chunk_index)
 );
@@ -385,7 +383,7 @@ class CampaignStateDB:
             self._conn.execute(
                 "UPDATE chunks SET status = 'done', seconds = ?, worker = ?, "
                 "failing = ?, raw_reports = ?, crash_points = ?, scenarios = ?, "
-                "deduped = ?, cross_deduped = ?, prefix_hits = ?, replay_hits = ?, "
+                "deduped = ?, cross_deduped = ?, "
                 "cpu_seconds = ? WHERE campaign_id = ? AND chunk_index = ?",
                 (
                     outcome.seconds,
@@ -396,8 +394,6 @@ class CampaignStateDB:
                     sum(result.scenarios_tested for result in results),
                     sum(result.deduped_scenarios for result in results),
                     sum(result.cross_deduped_scenarios for result in results),
-                    outcome.prefix_hits,
-                    outcome.replay_hits,
                     sum(result.total_seconds for result in results),
                     campaign_id,
                     outcome.index,
@@ -534,8 +530,7 @@ class CampaignStateDB:
             "COALESCE(SUM(k.workloads), 0), COALESCE(SUM(k.failing), 0), "
             "COALESCE(SUM(k.raw_reports), 0), COALESCE(SUM(k.crash_points), 0), "
             "COALESCE(SUM(k.scenarios), 0), COALESCE(SUM(k.deduped), 0), "
-            "COALESCE(SUM(k.cross_deduped), 0), COALESCE(SUM(k.prefix_hits), 0), "
-            "COALESCE(SUM(k.replay_hits), 0), COALESCE(SUM(k.cpu_seconds), 0) "
+            "COALESCE(SUM(k.cross_deduped), 0), COALESCE(SUM(k.cpu_seconds), 0) "
             "FROM campaigns c "
             "LEFT JOIN chunks k ON k.campaign_id = c.campaign_id AND k.status = 'done' "
             "GROUP BY c.tenant ORDER BY c.tenant",
@@ -553,8 +548,6 @@ class CampaignStateDB:
                 scenarios_tested=row[7],
                 deduped_scenarios=row[8],
                 cross_deduped_scenarios=row[9],
-                prefix_hits=row[10],
-                replay_hits=row[11],
-                worker_seconds=row[12],
+                worker_seconds=row[10],
             ))
         return usage

@@ -16,10 +16,8 @@ from .block import (
     DEFAULT_DEVICE_BLOCKS,
     SECTOR_SIZE,
     SECTORS_PER_BLOCK,
-    Payload,
     blocks_needed,
     compose_torn_block,
-    materialize_payload,
     pad_block,
     split_blocks,
 )
@@ -35,30 +33,17 @@ from .io_request import (
 )
 from .record_device import RecordingDevice
 from .replay import replay_requests, replay_until_checkpoint
-from .slab import BlockSlab, slabs_enabled
-from .spill import (
-    DEFAULT_SPINE_MEMORY_BUDGET,
-    SpineStore,
-    default_spine_memory_budget,
-)
 
 __all__ = [
     "BLOCK_SIZE",
     "DEFAULT_DEVICE_BLOCKS",
     "SECTOR_SIZE",
     "SECTORS_PER_BLOCK",
-    "Payload",
     "blocks_needed",
     "compose_torn_block",
-    "materialize_payload",
     "pad_block",
     "split_blocks",
     "BlockDevice",
-    "BlockSlab",
-    "slabs_enabled",
-    "DEFAULT_SPINE_MEMORY_BUDGET",
-    "SpineStore",
-    "default_spine_memory_budget",
     "CowDevice",
     "RecordingDevice",
     "IORequest",

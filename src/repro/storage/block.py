@@ -11,8 +11,6 @@ crash plan.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 BLOCK_SIZE = 4096
 
 #: Size of the atomically-persisted disk unit.  Writes of a whole block are
@@ -27,49 +25,27 @@ DEFAULT_DEVICE_BLOCKS = (100 * 1024 * 1024) // BLOCK_SIZE
 
 ZERO_BLOCK = bytes(BLOCK_SIZE)
 
-#: A block payload as the devices move it around: either an immutable
-#: ``bytes`` object or a read-only ``memoryview`` into a shared slab
-#: (see :mod:`.slab`).  Both compare, hash into digests, slice, and decode
-#: identically for every consumer in the stack.
-Payload = Union[bytes, memoryview]
 
-
-def materialize_payload(data) -> Optional[bytes]:
-    """Flatten a payload to an immutable ``bytes`` object.
-
-    The one sanctioned copy point for payloads leaving the zero-copy world:
-    slab-backed ``memoryview`` slots cannot be pickled (and must never escape
-    to disk holding a reference to their backing arena), so the spill layer
-    routes every payload through here before serializing.  ``bytes`` payloads
-    and ``None`` pass through untouched.
-    """
-    if isinstance(data, memoryview):
-        return data.tobytes()
-    return data
-
-
-def pad_block(data) -> Payload:
+def pad_block(data) -> bytes:
     """Pad ``data`` with zero bytes to exactly one block.
 
-    Exactly-block-sized immutable payloads (``bytes`` or read-only
-    ``memoryview``) pass through without copying — this is the zero-copy fast
-    path the recording and replay hot loops rely on.  Raises ``ValueError``
-    if the payload is larger than a block; callers that need multi-block
-    payloads must split them first.
+    An exactly-block-sized ``bytes`` payload passes through without copying:
+    payloads are immutable, so the recorded request, the CoW overlay and every
+    crash state share one object.  Raises ``ValueError`` if the payload is
+    larger than a block; callers that need multi-block payloads must split
+    them first.
     """
     length = len(data)
     if length > BLOCK_SIZE:
         raise ValueError(f"payload of {length} bytes does not fit in a {BLOCK_SIZE}-byte block")
     if length == BLOCK_SIZE:
-        if isinstance(data, memoryview):
-            return data if data.readonly else data.toreadonly()
         return bytes(data)
     if length == 0:
         return ZERO_BLOCK
     return bytes(data) + bytes(BLOCK_SIZE - length)
 
 
-def compose_torn_block(new_data, prior, sectors_applied: int) -> Payload:
+def compose_torn_block(new_data, prior, sectors_applied: int) -> bytes:
     """Content of a block whose write was torn after ``sectors_applied`` sectors.
 
     The first ``sectors_applied`` sectors come from the (padded) new payload,
@@ -88,7 +64,7 @@ def compose_torn_block(new_data, prior, sectors_applied: int) -> Payload:
         return prior_padded
     if cut == BLOCK_SIZE:
         return new_padded
-    return bytes(new_padded[:cut]) + bytes(prior_padded[cut:])
+    return new_padded[:cut] + prior_padded[cut:]
 
 
 def split_blocks(data: bytes) -> list:

@@ -14,11 +14,6 @@ the base — so a deep chain of forks costs one extra dict probe per read, not
 a linear scan of every layer.  This is what makes the replayer's one-pass
 incremental crash-state construction cheap — it forks a snapshot at every
 persistence point of the recorded stream.
-
-Short (sub-block) writes are zero-padded into a per-device :class:`BlockSlab`
-arena when slabs are enabled (the default; see ``REPRO_NO_SLABS``), so the
-overlay holds read-only ``memoryview`` slots of contiguous storage instead of
-one heap-allocated ``bytes`` object per block.
 """
 
 from __future__ import annotations
@@ -26,9 +21,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Tuple
 
 from ..errors import InvalidBlockError
-from .block import BLOCK_SIZE, ZERO_BLOCK, Payload, compose_torn_block, pad_block
+from .block import BLOCK_SIZE, ZERO_BLOCK, compose_torn_block, pad_block
 from .block_device import BlockDevice
-from .slab import BlockSlab, slabs_enabled
 
 #: When a snapshot's frozen chain grows past this many layers the next fork
 #: compacts it into a single layer.  Chains only grow by forking, so this
@@ -51,16 +45,14 @@ class CowDevice:
         self.num_blocks = base.num_blocks
         #: immutable, shared overlay layers (oldest → newest); never mutated
         #: after being frozen by :meth:`snapshot`.
-        self._chain: Tuple[Dict[int, Payload], ...] = ()
+        self._chain: Tuple[Dict[int, bytes], ...] = ()
         #: merged view of every frozen layer (newest content wins), rebuilt
         #: incrementally at freeze time and shared with clones (the chain is
         #: immutable), so both the read path and the overlay accounting of a
         #: freshly forked snapshot are O(1) regardless of chain depth.
-        self._chain_index: Dict[int, Payload] = {}
+        self._chain_index: Dict[int, bytes] = {}
         #: this device's private, mutable top overlay.
-        self._overlay: Dict[int, Payload] = {}
-        self._use_slabs = slabs_enabled()
-        self._slab: Optional[BlockSlab] = None
+        self._overlay: Dict[int, bytes] = {}
         self.writes = 0
         self.reads = 0
         self.flushes = 0
@@ -79,7 +71,7 @@ class CowDevice:
 
     # -- I/O -----------------------------------------------------------------
 
-    def _visible_block(self, block: int) -> Payload:
+    def _visible_block(self, block: int) -> bytes:
         """Content this snapshot currently exposes for ``block``.
 
         Single lookup path shared by :meth:`read_block` and
@@ -95,16 +87,7 @@ class CowDevice:
             return data
         return self.base.read_block(block)
 
-    def _pad(self, data) -> Payload:
-        """Pad a write payload to one block, into the slab when enabled."""
-        length = len(data)
-        if length == BLOCK_SIZE or length == 0 or not self._use_slabs:
-            return pad_block(data)
-        if self._slab is None:
-            self._slab = BlockSlab()
-        return self._slab.store(data)
-
-    def read_block(self, block: int) -> Payload:
+    def read_block(self, block: int) -> bytes:
         self._check_block(block)
         self.reads += 1
         return self._visible_block(block)
@@ -112,7 +95,7 @@ class CowDevice:
     def write_block(self, block: int, data) -> None:
         self._check_block(block)
         self.writes += 1
-        self._overlay[block] = self._pad(data)
+        self._overlay[block] = pad_block(data)
 
     def write_sectors(self, block: int, data, sectors_applied: int) -> None:
         """Apply only the first ``sectors_applied`` sectors of a block write.
@@ -172,42 +155,13 @@ class CowDevice:
         clone = CowDevice(self.base, name=name or f"{self.name}-snap")
         clone._chain = self._chain
         clone._chain_index = self._chain_index
-        clone._use_slabs = self._use_slabs
         return clone
 
-    def _merged_overlay(self) -> Dict[int, Payload]:
+    def _merged_overlay(self) -> Dict[int, bytes]:
         """All blocks modified relative to the base (chain + top overlay)."""
-        merged: Dict[int, Payload] = dict(self._chain_index)
+        merged: Dict[int, bytes] = dict(self._chain_index)
         merged.update(self._overlay)
         return merged
-
-    def overlay_delta(self) -> Dict[int, Payload]:
-        """Every block this snapshot changed relative to its base, merged.
-
-        Public accessor for the spill layer: the returned dict plus the base
-        image fully determine the snapshot's visible contents, so serializing
-        it (with payloads flattened via ``materialize_payload``) and replaying
-        it through :meth:`from_overlay` reconstructs a content-identical
-        device.
-        """
-        return self._merged_overlay()
-
-    @classmethod
-    def from_overlay(cls, base: BlockDevice, overlay: Dict[int, Payload],
-                     name: str = "cow0") -> "CowDevice":
-        """Rebuild a snapshot from a base image and a merged overlay delta.
-
-        The inverse of :meth:`overlay_delta`.  The overlay lands as a single
-        frozen chain layer, so the rehydrated device behaves exactly like a
-        fresh ``snapshot()`` of the original: an empty mutable top overlay,
-        fresh counters, and the same visible contents.
-        """
-        device = cls(base, name=name)
-        if overlay:
-            layer = dict(overlay)
-            device._chain = (layer,)
-            device._chain_index = dict(layer)
-        return device
 
     def materialize(self, name: Optional[str] = None) -> BlockDevice:
         """Flatten base + overlays into an independent :class:`BlockDevice`.
@@ -240,7 +194,7 @@ class CowDevice:
 
     def written_blocks(self) -> Iterator[Tuple[int, bytes]]:
         """Iterate over ``(block, data)`` for the visible (merged) contents."""
-        merged: Dict[int, Payload] = {}
+        merged: Dict[int, bytes] = {}
         for block, data in self.base.written_blocks():
             merged[block] = data
         merged.update(self._merged_overlay())

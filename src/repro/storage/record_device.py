@@ -13,11 +13,10 @@ every fsync/fdatasync/sync/msync in the workload returns.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .block import BLOCK_SIZE, Payload, pad_block
+from .block import BLOCK_SIZE, pad_block
 from .io_request import IOFlag, IOKind, IORequest
-from .slab import BlockSlab, slabs_enabled
 
 
 class RecordingDevice:
@@ -30,8 +29,6 @@ class RecordingDevice:
         self._log: List[IORequest] = []
         self._seq = 0
         self._checkpoints = 0
-        self._use_slabs = slabs_enabled()
-        self._slab: Optional[BlockSlab] = None
         self.recording = True
 
     # -- pass-through I/O ----------------------------------------------------
@@ -42,15 +39,6 @@ class RecordingDevice:
 
     def read_block(self, block: int) -> bytes:
         return self.target.read_block(block)
-
-    def _capture(self, data) -> Payload:
-        """Pad a write payload to one block exactly once, in the slab when enabled."""
-        length = len(data)
-        if length == BLOCK_SIZE or length == 0 or not self._use_slabs:
-            return pad_block(data)
-        if self._slab is None:
-            self._slab = BlockSlab()
-        return self._slab.store(data)
 
     def write_block(self, block: int, data, *, metadata: bool = False,
                     fua: bool = False, tag: str = "") -> None:
@@ -67,7 +55,7 @@ class RecordingDevice:
         # the target would issue a spurious device read per recorded write,
         # and padding twice (here and in the CoW overlay) would allocate two
         # block-sized copies per recorded write.
-        payload = self._capture(data)
+        payload = pad_block(data)
         self.target.write_block(block, payload)
         flags: Tuple[IOFlag, ...] = (IOFlag.METADATA,) if metadata else (IOFlag.DATA,)
         if fua:
@@ -128,18 +116,6 @@ class RecordingDevice:
         self._log.clear()
         self._seq = 0
         self._checkpoints = 0
-
-    def restore_log(self, log: Sequence[IORequest], checkpoints: int) -> None:
-        """Seed the recorder with an already-recorded stream.
-
-        Used by prefix-shared profiling: a run resumed from a cached prefix
-        snapshot inherits the prefix's recorded requests (and continues the
-        sequence numbering and checkpoint ids after them), so its final log
-        is byte-for-byte what recording from scratch would have produced.
-        """
-        self._log = list(log)
-        self._seq = self._log[-1].seq if self._log else 0
-        self._checkpoints = checkpoints
 
     # -- introspection -----------------------------------------------------------
 

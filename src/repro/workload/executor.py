@@ -138,20 +138,13 @@ class WorkloadExecutor:
 
     def run(self, workload: Workload,
             on_persistence: Optional[PersistenceCallback] = None,
-            before_operation: Optional[OperationCallback] = None,
-            after_operation: Optional[OperationCallback] = None,
-            start_index: int = 0) -> None:
+            before_operation: Optional[OperationCallback] = None) -> None:
         """Execute a workload, invoking ``on_persistence`` after each persistence op.
 
-        ``start_index`` skips the first operations (the prefix-shared
-        recorder resumes mid-workload from a cached snapshot — operation
-        indices stay absolute so payloads and callbacks are identical to a
-        full run).  ``after_operation`` fires after each operation completes,
-        after any ``on_persistence`` for it.  Both recording paths go through
-        this one loop, so the executor's protocol (callback ordering, skip
-        and persistence accounting) cannot diverge between them.
+        ``before_operation`` fires before each operation runs (the tracker
+        snapshots pre-operation state through it).
         """
-        for index, op in enumerate(workload.ops[start_index:], start=start_index):
+        for index, op in enumerate(workload.ops):
             if before_operation is not None:
                 before_operation(op, index)
             ran = self.run_operation(op, index)
@@ -159,5 +152,3 @@ class WorkloadExecutor:
                 self.persistence_count += 1
                 if on_persistence is not None:
                     on_persistence(op, index)
-            if after_operation is not None:
-                after_operation(op, index)

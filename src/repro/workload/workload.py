@@ -7,10 +7,10 @@ the rest of the pipeline relies on:
   operation names, used by the Figure-5 post-processing to group bug reports,
 * persistence-point positions — the crash points CrashMonkey simulates,
 * a stable identifier used to deduplicate and to name reports,
-* *prefix keys* — content-derived identifiers of every operation prefix,
-  which the prefix-shared recorder uses to recognise that two ACE sibling
-  workloads start with the same operations and need that prefix recorded
-  only once.
+* *prefix keys* — content-derived identifiers of every operation prefix
+  (the whole-workload key identifies durable-campaign chunks),
+* the *family key* — the identity of an ACE sibling family, which the
+  engine keeps within one chunk.
 """
 
 from __future__ import annotations
@@ -104,13 +104,10 @@ class Workload:
         """Content-derived identifier of the first ``length`` operations.
 
         Two workloads with equal ``prefix_key(k)`` have byte-identical first
-        ``k`` operations (op name, every argument, kwargs, dependency flag) —
-        the property the prefix-shared recorder relies on to resume a sibling
-        from a cached recording instead of re-running the prefix.  A key
-        collision between *different* prefixes would silently corrupt the
-        workload trie, so the key digests the full canonical JSON of every
-        operation, not just the names.  ``length=None`` keys the whole
-        workload.
+        ``k`` operations (op name, every argument, kwargs, dependency flag).
+        The key digests the full canonical JSON of every operation, not just
+        the names, so different prefixes never share a key.  ``length=None``
+        keys the whole workload (the durable runner's chunk identity).
         """
         if length is None:
             length = len(self.ops)
@@ -119,27 +116,15 @@ class Workload:
             _hash_operation(hasher, op)
         return hasher.hexdigest()[:16]
 
-    def prefix_keys(self) -> Tuple[str, ...]:
-        """``prefix_key`` of every prefix, from 0 ops to the full workload.
-
-        Computed in one incremental pass, so ``prefix_keys()[k] ==
-        prefix_key(k)`` without re-hashing each prefix from scratch.
-        """
-        hasher = hashlib.sha1()
-        keys = [hasher.hexdigest()[:16]]
-        for op in self.ops:
-            _hash_operation(hasher, op)
-            keys.append(hasher.hexdigest()[:16])
-        return tuple(keys)
-
     def family_key(self) -> str:
         """Identity of the workload's non-persistence operations.
 
         ACE's phase 3 emits *sibling families*: workloads with identical core
         and dependency operations that differ only in where persistence
-        points sit.  Those siblings share the longest recording prefixes, so
-        the engine's prefix-affine chunking keeps workloads with equal
-        ``family_key`` in one chunk (one worker, one warm prefix cache).
+        points sit.  Those siblings re-reach the same crash states, so the
+        engine's family-affine chunking keeps workloads with equal
+        ``family_key`` in one chunk (one worker, one cross-workload dedup
+        cache).
         """
         hasher = hashlib.sha1()
         for op in self.ops:

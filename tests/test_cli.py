@@ -1,8 +1,15 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli.main import build_parser, main
+
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_study_command_prints_table1(capsys):
@@ -70,6 +77,25 @@ def test_reproduce_patched_returns_nonzero(capsys):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_running_the_main_module_imports_it_once():
+    """``python -m repro.cli.main`` must not find the module pre-imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_ROOT))
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.cli.main", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "RuntimeWarning" not in completed.stderr
+
+
+def test_campaign_help_lists_no_removed_sharing_flags():
+    campaign = build_parser()._subparsers._group_actions[0].choices["campaign"]
+    help_text = campaign.format_help()
+    for flag in ("--share-prefixes", "--no-share-prefixes", "--share-replay",
+                 "--no-share-replay", "--spine-memory-budget", "--spine-spill-dir"):
+        assert flag not in help_text, flag
 
 
 class TestCheckSelection:

@@ -1,24 +1,20 @@
-"""Prefix-shared recording and cross-workload dedup.
+"""Cross-workload dedup over ACE sibling families.
 
-Covers the three guarantees the subsystem makes:
-
-* **Recording parity** — prefix-shared profiles are byte-for-byte identical
-  (io_log, checkpoints, oracle snapshots, tracker views) to from-scratch
-  recording, proven over the full seq-1 space of all four simulated file
-  systems.
-* **Campaign parity** — bug reports are identical with sharing on vs. off,
-  under both the serial and the process-pool backend (sharing changes how
-  fast profiles are produced, never what they contain).
-* **Cross-workload dedup soundness** — a sibling that adds new expectations
-  after the shared prefix is never skipped, and patched file systems still
-  produce zero reports with dedup + sharing enabled.
+ACE emits *sibling families*: workloads that share every operation but the
+placement of their persistence points.  Siblings re-reach the same crash
+states, so a harness with ``cross_workload_dedup`` skips a checkpoint whose
+states and expectations an earlier workload already tested.  These tests pin
+that dedup is sound (a sibling with new expectations is never skipped, a
+correct file system stays silent), that the engine's family-affine chunking
+keeps a family on one worker without reordering the stream, and that the
+adapter surfaces every invalid workload it drops.
 """
 
 import pytest
 
 from repro.ace import AceSynthesizer, CrashMonkeyAdapter, group_siblings, seq1_bounds
 from repro.core import B3Campaign, CampaignConfig
-from repro.crashmonkey import CrashMonkey, CrossWorkloadCache, WorkloadRecorder
+from repro.crashmonkey import CrashMonkey, CrossWorkloadCache
 from repro.engine import HarnessSpec, chunked_affine, run_campaign
 from repro.fs import BugConfig
 from repro.workload import parse_workload
@@ -31,138 +27,8 @@ SIBLING_A = "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar"
 SIBLING_B = "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz"
 
 
-def _recorders(fs_name, bugs=None):
-    shared = WorkloadRecorder(fs_name, bugs, device_blocks=SMALL_DEVICE_BLOCKS,
-                              share_prefixes=True)
-    scratch = WorkloadRecorder(fs_name, bugs, device_blocks=SMALL_DEVICE_BLOCKS,
-                               share_prefixes=False)
-    return shared, scratch
-
-
-def _assert_profiles_equal(shared_profile, scratch_profile, context=""):
-    assert shared_profile.io_log == scratch_profile.io_log, f"io_log {context}"
-    assert shared_profile.checkpoints() == scratch_profile.checkpoints(), context
-    assert shared_profile.oracles == scratch_profile.oracles, f"oracles {context}"
-    assert shared_profile.tracker_views == scratch_profile.tracker_views, f"views {context}"
-    assert shared_profile.num_checkpoints == scratch_profile.num_checkpoints, context
-    assert shared_profile.executed_ops == scratch_profile.executed_ops, context
-    assert shared_profile.skipped_ops == scratch_profile.skipped_ops, context
-    assert shared_profile.recorded_bytes == scratch_profile.recorded_bytes, context
-    assert (shared_profile.workload_overlay_bytes
-            == scratch_profile.workload_overlay_bytes), context
-
-
-# --------------------------------------------------------------------------- recording parity
-
-
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
-@pytest.mark.parametrize("bugs", [None, BugConfig.none()], ids=["buggy", "patched"])
-def test_shared_profiles_match_from_scratch_on_full_seq1_space(fs_name, bugs):
-    """Byte-for-byte parity over the full seq-1 space (the ISSUE's tentpole bar)."""
-    shared, scratch = _recorders(fs_name, bugs)
-    compared = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        _assert_profiles_equal(
-            shared.profile(workload), scratch.profile(workload),
-            context=f"{fs_name} {workload.display_name()}",
-        )
-        compared += 1
-    assert compared > 0
-    # The whole point: most profiles resumed from the cache.
-    assert shared.prefix_hits > compared // 2
-    assert scratch.prefix_hits == 0
-
-
-def test_shared_profile_of_an_exact_prefix_workload_is_fully_inherited():
-    """A workload equal to a prefix of the previous one records zero new writes."""
-    shared, scratch = _recorders("logfs", BugConfig.none())
-    long = parse_workload("creat foo\nfsync foo\ncreat bar\nfsync bar", name="long")
-    short = parse_workload("creat foo\nfsync foo", name="short")
-    shared.profile(long)
-    shared_short = shared.profile(short)
-    _assert_profiles_equal(shared_short, scratch.profile(short))
-    assert shared_short.fresh_write_requests == 0
-    assert shared_short.prefix_ops_reused == len(short.ops)
-
-
-def test_prefix_cache_survives_divergence_and_reconvergence():
-    shared, scratch = _recorders("seqfs")
-    texts = [SIBLING_A, SIBLING_B, SIBLING_A, "creat other\nsync"]
-    for index, text in enumerate(texts):
-        workload = parse_workload(text, name=f"wl-{index}")
-        _assert_profiles_equal(shared.profile(workload), scratch.profile(workload),
-                               context=text)
-    assert shared.prefix_hits == len(texts) - 1
-    assert shared.prefix_writes_reused > 0
-
-
-def test_clear_prefix_cache_forces_a_cold_profile():
-    shared, _ = _recorders("logfs")
-    workload = parse_workload(SIBLING_A)
-    shared.profile(workload)
-    shared.clear_prefix_cache()
-    profile = shared.profile(workload)
-    assert not profile.prefix_shared
-    assert profile.prefix_ops_reused == 0
-
-
-def test_from_scratch_profiles_report_no_sharing():
-    _, scratch = _recorders("logfs")
-    profile = scratch.profile(parse_workload(SIBLING_A))
-    assert not profile.prefix_shared
-    assert profile.prefix_writes_reused == 0
-    assert profile.fresh_write_requests == sum(
-        1 for request in profile.io_log if request.is_write
-    )
-
-
-def test_shared_profiles_are_independent_of_each_other():
-    """A later sibling must not mutate an earlier sibling's profile."""
-    shared, _ = _recorders("logfs")
-    first = shared.profile(parse_workload(SIBLING_A, name="A"))
-    log_before = first.io_log
-    oracles_before = dict(first.oracles)
-    shared.profile(parse_workload(SIBLING_B, name="B"))
-    assert first.io_log == log_before
-    assert first.oracles == oracles_before
-
-
-# --------------------------------------------------------------------------- campaign parity
-
-
-def _campaign_findings(run):
-    return [
-        (result.workload.display_name(), report.checkpoint_id,
-         report.consequence, report.scenario)
-        for result in run.result.results for report in result.bug_reports
-    ]
-
-
-def test_campaign_reports_identical_with_sharing_on_and_off_both_backends():
-    """Full seq-1 campaign on buggy logfs: sharing changes speed, not reports."""
-    workloads = list(AceSynthesizer(seq1_bounds()).stream())
-    runs = {}
-    for share in (True, False):
-        for processes in (1, 2):
-            spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                               share_prefixes=share)
-            runs[(share, processes)] = run_campaign(
-                spec, iter(workloads), processes=processes, chunk_size=32
-            )
-    reference = _campaign_findings(runs[(False, 1)])
-    assert reference, "the buggy seq-1 space must produce reports"
-    for key, run in runs.items():
-        assert _campaign_findings(run) == reference, f"share,processes={key}"
-    assert runs[(True, 1)].result.prefix_hits > 0
-    assert runs[(False, 1)].result.prefix_hits == 0
-
-
-# --------------------------------------------------------------------------- cross-workload dedup
-
-
 class TestCrossWorkloadDedup:
     def _harness(self, fs_name="logfs", bugs=None, dedup=True, **kwargs):
-        kwargs.setdefault("share_prefixes", True)
         return CrashMonkey(fs_name, bugs=bugs, device_blocks=SMALL_DEVICE_BLOCKS,
                            cross_workload_dedup=dedup, **kwargs)
 
@@ -220,8 +86,8 @@ class TestCrossWorkloadDedup:
         assert second.cross_deduped_scenarios == first.scenarios_tested
 
     @pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
-    def test_patched_full_seq1_space_stays_silent_with_dedup_and_sharing(self, fs_name):
-        """Soundness: dedup + sharing never invent a report on a correct fs."""
+    def test_patched_full_seq1_space_stays_silent_with_dedup(self, fs_name):
+        """Soundness: dedup never invents a report on a correct fs."""
         harness = self._harness(fs_name, bugs=BugConfig.none(), dedup=True,
                                 crash_plan="torn", reorder_bound=2, torn_bound=2)
         tested = 0
@@ -230,7 +96,7 @@ class TestCrossWorkloadDedup:
             assert result.passed, f"{fs_name}: {workload.display_name()}"
             tested += 1
         assert tested > 0
-        assert harness.recorder.prefix_hits > 0
+        assert harness.cross_cache.hits > 0
 
     def test_cache_cap_degrades_to_fewer_hits_never_to_skipping(self):
         cache = CrossWorkloadCache(max_entries=1)
@@ -241,10 +107,7 @@ class TestCrossWorkloadDedup:
         assert len(cache) == 1
 
 
-# --------------------------------------------------------------------------- engine affinity
-
-
-class TestPrefixAffineChunking:
+class TestFamilyAffineChunking:
     def test_affine_chunks_preserve_stream_order(self):
         items = [f"{group}-{i}" for group in "abcde" for i in range(7)]
         chunks = list(chunked_affine(iter(items), 4, key=lambda s: s[0]))
@@ -273,24 +136,20 @@ class TestPrefixAffineChunking:
         with pytest.raises(ValueError):
             list(chunked_affine([], 4, key=lambda x: x, max_chunk_size=2))
 
-    def test_engine_reports_chunk_prefix_hits(self):
-        workloads = list(AceSynthesizer(seq1_bounds()).stream(limit=20))
+    def test_engine_keeps_each_family_in_one_chunk(self):
+        workloads = list(AceSynthesizer(seq1_bounds()).stream(limit=40))
         spec = HarnessSpec(fs_name="btrfs", bugs=BugConfig.none(),
-                           device_blocks=SMALL_DEVICE_BLOCKS, share_prefixes=True)
+                           device_blocks=SMALL_DEVICE_BLOCKS)
         run = run_campaign(spec, iter(workloads), processes=1, chunk_size=8)
-        assert sum(stats.prefix_hits for stats in run.chunks) == run.result.prefix_hits
-        assert run.result.prefix_hits > 0
-
-    def test_sharing_off_uses_plain_fixed_size_chunks(self):
-        workloads = list(AceSynthesizer(seq1_bounds()).stream(limit=20))
-        spec = HarnessSpec(fs_name="btrfs", bugs=BugConfig.none(),
-                           device_blocks=SMALL_DEVICE_BLOCKS, share_prefixes=False)
-        run = run_campaign(spec, iter(workloads), processes=1, chunk_size=8)
-        assert [stats.workloads for stats in run.chunks] == [8, 8, 4]
-        assert run.result.prefix_hits == 0
-
-
-# --------------------------------------------------------------------------- adapter surfacing
+        tested = [result.workload for result in run.result.results]
+        assert tested == workloads
+        families = [w.family_key() for w in workloads]
+        position = 0
+        for stats in run.chunks:
+            position += stats.workloads
+            if position < len(workloads):
+                assert families[position - 1] != families[position], \
+                    "a chunk boundary split a sibling family"
 
 
 class TestInvalidWorkloadSurfacing:
@@ -325,9 +184,6 @@ class TestInvalidWorkloadSurfacing:
         assert result.workloads_tested == 15
 
 
-# --------------------------------------------------------------------------- sibling grouping
-
-
 class TestSiblingGrouping:
     def test_groups_partition_the_stream_in_order(self):
         synthesizer = AceSynthesizer(seq1_bounds())
@@ -349,54 +205,32 @@ class TestSiblingGrouping:
         assert [len(g) for g in groups] == [2, 1]
 
 
-# --------------------------------------------------------------------------- results accounting
-
-
-def test_campaign_result_aggregates_prefix_and_dedup_stats():
+def test_campaign_result_aggregates_dedup_stats():
     spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                       share_prefixes=True, cross_workload_dedup=True)
+                       cross_workload_dedup=True)
     workloads = [parse_workload(SIBLING_A, name="A"),
                  parse_workload(SIBLING_B, name="B")]
     run = run_campaign(spec, iter(workloads), processes=1, chunk_size=8)
     result = run.result
-    assert result.prefix_hits == 1
-    assert result.prefix_ops_reused > 0
-    assert result.prefix_writes_reused > 0
     assert result.cross_deduped_scenarios == 1
-    assert result.recording_seconds_saved() >= 0.0
-    assert "prefix hits" in result.recording_summary()
-    assert "cross-workload" in result.describe()
-
-
-# --------------------------------------------------------------------------- CLI
+    assert sum(stats.cross_deduped_scenarios for stats in run.chunks) == 1
+    assert "1 cross-workload scenarios skipped" in result.describe()
 
 
 class TestCliFlags:
-    def test_campaign_accepts_recording_flags(self, capsys):
+    def test_campaign_prints_the_dedup_line_once(self, capsys):
         from repro.cli.main import main
         code = main([
-            "campaign", "--filesystem", "btrfs", "--preset", "seq-1",
-            "--limit", "10", "--patched", "--share-prefixes",
-            "--cross-workload-dedup",
+            "campaign", "--filesystem", "btrfs", "--preset", "seq-2",
+            "--limit", "40", "--patched", "--cross-workload-dedup",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.count("recording:") == 1, "summary line exactly once"
+        assert out.count("dedup:") == 1, "summary line exactly once"
 
-    def test_campaign_no_share_prefixes(self, capsys):
-        from repro.cli.main import main
-        code = main([
-            "campaign", "--filesystem", "btrfs", "--preset", "seq-1",
-            "--limit", "10", "--patched", "--no-share-prefixes",
-        ])
-        assert code == 0
-
-    def test_test_command_accepts_flags(self, tmp_path):
+    def test_test_command_accepts_dedup_flag(self, tmp_path):
         from repro.cli.main import main
         workload_file = tmp_path / "wl.wl"
         workload_file.write_text("creat foo\nfsync foo\n")
         assert main(["test", str(workload_file), "--filesystem", "btrfs",
-                     "--patched", "--no-share-prefixes"]) == 0
-        assert main(["test", str(workload_file), "--filesystem", "btrfs",
                      "--patched", "--cross-workload-dedup"]) == 0
-

@@ -100,7 +100,7 @@ def test_campaign_result_round_trip(campaign_result):
 def test_campaign_canonical_dict_is_timing_free(campaign_result):
     canonical = json.dumps(campaign_result.canonical_dict())
     assert "seconds" not in canonical
-    assert "prefix_shared" not in canonical
+    assert "replayed_write_requests" not in canonical
 
 
 def test_workload_survives_the_round_trip(campaign_result):

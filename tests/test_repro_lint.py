@@ -48,9 +48,9 @@ def test_clock_outside_the_canonical_path_is_fine():
 
 
 def test_bytes_copy_in_storage_is_caught_but_block_py_is_allowed():
-    source = "def replay(view):\n    return bytes(view)\n"
+    source = "def replay(payload):\n    return bytes(payload)\n"
     flagged = repro_lint.check_storage_stays_zero_copy(
-        _trees(**{"storage/slab.py": source}))
+        _trees(**{"storage/cow_device.py": source}))
     assert len(flagged) == 1 and "bytes(...)" in flagged[0][2]
     assert repro_lint.check_storage_stays_zero_copy(
         _trees(**{"storage/block.py": source})) == []
@@ -116,42 +116,6 @@ def test_analysis_importing_elsewhere_is_fine():
         "from ..crashmonkey.crashplan import PLAN_NAMES\n"
     )})
     assert repro_lint.check_analysis_does_not_import_harness(trees) == []
-
-
-def test_spill_touching_slab_chunks_is_caught():
-    source = (
-        "def freeze(node):\n"
-        "    return [bytes(c) for c in node.slab._chunks]\n"
-    )
-    findings = repro_lint.check_spill_never_references_slab_chunks(
-        _trees(**{"storage/spill.py": source}))
-    assert len(findings) == 1
-    assert "._chunks" in findings[0][2]
-
-
-def test_spill_building_a_bytearray_is_caught():
-    findings = repro_lint.check_spill_never_references_slab_chunks(
-        _trees(**{"storage/spill.py":
-                  "def freeze(view):\n    return bytearray(view)\n"}))
-    assert len(findings) == 1
-    assert "bytearray" in findings[0][2]
-
-
-def test_spill_unwrapping_a_memoryview_obj_is_caught():
-    findings = repro_lint.check_spill_never_references_slab_chunks(
-        _trees(**{"storage/spill.py":
-                  "def freeze(view):\n    return view.obj\n"}))
-    assert len(findings) == 1
-    assert "`.obj`" in findings[0][2]
-
-
-def test_slab_internals_outside_spill_are_fine():
-    source = (
-        "def grow(self):\n"
-        "    self._chunks.append(bytearray(64))\n"
-    )
-    assert repro_lint.check_spill_never_references_slab_chunks(
-        _trees(**{"storage/slab.py": source})) == []
 
 
 def test_session_field_outside_scalar_fields_is_caught():

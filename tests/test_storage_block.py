@@ -34,6 +34,14 @@ class TestPadBlock:
         assert pad_block(b"") == ZERO_BLOCK
 
 
+    def test_exact_size_bytes_are_shared_not_copied(self):
+        data = bytes(BLOCK_SIZE)
+        assert pad_block(data) is data
+
+    def test_empty_payload_is_the_shared_zero_block(self):
+        assert pad_block(b"") is pad_block(bytearray())
+
+
 class TestSplitBlocks:
     def test_empty_data_yields_no_blocks(self):
         assert split_blocks(b"") == []

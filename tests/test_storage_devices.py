@@ -190,6 +190,26 @@ class TestCowDevice:
         assert snap.reads == before
         assert snap.writes == 1
 
+    def test_reads_return_padded_block_sized_payloads(self):
+        device = CowDevice(BlockDevice(num_blocks=8))
+        device.write_block(3, b"tiny")
+        payload = device.read_block(3)
+        assert len(payload) == BLOCK_SIZE
+        assert payload[:4] == b"tiny"
+        assert payload[4:] == b"\x00" * (BLOCK_SIZE - 4)
+
+    def test_deep_chains_read_through_the_merged_index(self):
+        device = CowDevice(BlockDevice(num_blocks=8))
+        device.write_block(0, b"layer-0")
+        fork = device
+        for n in range(1, 6):
+            fork = fork.snapshot(name=f"layer-{n}")
+            fork.write_block(n % 4, f"layer-{n}".encode())
+        assert fork.read_block(1)[:7] == b"layer-5"
+        assert fork.read_block(0)[:7] == b"layer-4"
+        # Blocks never written still come from the base.
+        assert fork.read_block(7) == b"\x00" * BLOCK_SIZE
+
 
 class TestRecordingDevice:
     def _recorder(self):

@@ -1,9 +1,9 @@
 """Property-based tests for Workload identity (hypothesis).
 
-The workload trie is keyed on :meth:`Workload.prefix_key`; a key collision
-between different operation prefixes would make the prefix-shared recorder
-silently resume a sibling from the wrong state.  These properties pin down
-the identity scheme: stability, serialization round-trips, prefix
+The durable runner identifies each chunk by its workloads'
+:meth:`Workload.prefix_key`; a key collision between different workloads
+would let a resumed campaign mistake one chunk for another.  These properties
+pin down the identity scheme: stability, serialization round-trips, prefix
 consistency, and collision-freedom between workloads whose operations differ
 in any argument.
 """
@@ -45,14 +45,9 @@ workloads = st.builds(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(workload=workloads)
-def test_prefix_keys_agree_with_per_prefix_hashing(workload):
-    keys = workload.prefix_keys()
-    assert len(keys) == len(workload.ops) + 1
-    for length in range(len(workload.ops) + 1):
-        assert keys[length] == workload.prefix_key(length)
-    assert workload.prefix_key() == keys[-1]
+def _prefix_keys(workload):
+    """``prefix_key`` of every prefix, from 0 ops to the full workload."""
+    return tuple(workload.prefix_key(length) for length in range(len(workload.ops) + 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -61,7 +56,7 @@ def test_json_round_trip_preserves_identity(workload):
     clone = Workload.from_json(workload.to_json())
     assert clone.ops == workload.ops
     assert clone.workload_id() == workload.workload_id()
-    assert clone.prefix_keys() == workload.prefix_keys()
+    assert _prefix_keys(clone) == _prefix_keys(workload)
     assert clone.family_key() == workload.family_key()
 
 
@@ -70,7 +65,7 @@ def test_json_round_trip_preserves_identity(workload):
 def test_identity_ignores_name_and_source(workload):
     relabeled = Workload(ops=list(workload.ops), name="other", source="elsewhere")
     assert relabeled.workload_id() == workload.workload_id()
-    assert relabeled.prefix_keys() == workload.prefix_keys()
+    assert _prefix_keys(relabeled) == _prefix_keys(workload)
 
 
 @settings(max_examples=120, deadline=None)
@@ -87,7 +82,7 @@ def test_no_prefix_key_collisions_between_different_op_lists(a, b):
 @given(workload=workloads, extra=operations())
 def test_extending_a_workload_extends_its_prefix_keys(workload, extra):
     extended = Workload(ops=list(workload.ops) + [extra])
-    assert extended.prefix_keys()[: len(workload.ops) + 1] == workload.prefix_keys()
+    assert _prefix_keys(extended)[: len(workload.ops) + 1] == _prefix_keys(workload)
     assert extended.prefix_key(len(workload.ops)) == workload.prefix_key()
 
 
@@ -98,7 +93,7 @@ def test_shared_prefixes_share_keys_exactly_up_to_divergence(ops, cut):
     divergent = Operation(OpKind.CREAT, ("unique-divergence-path",))
     a = Workload(ops=list(ops))
     b = Workload(ops=list(ops[:cut]) + [divergent])
-    keys_a, keys_b = a.prefix_keys(), b.prefix_keys()
+    keys_a, keys_b = _prefix_keys(a), _prefix_keys(b)
     assert keys_a[: cut + 1] == keys_b[: cut + 1]
     if cut < len(ops) and ops[cut] != divergent:
         assert keys_a[cut + 1] != keys_b[cut + 1]

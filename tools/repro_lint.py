@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Six invariants, each protecting a guarantee a past change was built on:
+Five invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -12,12 +12,13 @@ Six invariants, each protecting a guarantee a past change was built on:
    ``canonical_dict`` definition and rejects reachable ``time.time``,
    ``time.perf_counter``, ``time.monotonic``, ``datetime.now`` и co.
 
-2. **No ``bytes(...)`` copies in storage hot paths.**  Crash-state
-   construction is zero-copy: recorded payloads live in shared slabs and
-   flow as read-only memoryviews.  A stray ``bytes(view)`` (or
-   ``view.tobytes()``) on the replay path silently reintroduces a per-block
-   copy.  Only ``block.py`` — the one module whose *job* is materializing
-   padded/torn payloads — may call ``bytes``.
+2. **No ``bytes(...)`` copies in storage hot paths.**  Payloads are
+   immutable ``bytes``, shared by reference: the recorded request, the CoW
+   overlay and every crash state built from it hold the same object, and no
+   memoryviews exist.  A stray ``bytes(payload)`` (or ``.tobytes()``) on the
+   record or replay path silently adds a per-block copy.  Only ``block.py``
+   — the one module whose *job* is building padded/torn payloads — may call
+   ``bytes``.
 
 3. **Every ``CrashTestResult`` field is accounted.**  Each dataclass field
    must appear in ``SCALAR_FIELDS`` (round-tripped) or be one of the
@@ -37,13 +38,6 @@ Six invariants, each protecting a guarantee a past change was built on:
    pass must stay runnable without the dynamic harness (no device, no
    mounts): the harness imports analysis, never the reverse.  An import in
    that direction is a layering cycle waiting to happen.
-
-6. **Spill code never holds slab internals.**  ``storage/spill.py`` writes
-   frozen spine nodes to disk; its codecs must flatten slab-backed
-   memoryviews through ``materialize_payload`` before anything is pickled.
-   A reference to a slab chunk (``_chunk``/``_chunks``/``.obj``) or a raw
-   ``bytearray`` in that module means a spill file (or the pickle buffer
-   building it) can capture — or worse, alias — a live slab arena.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -75,16 +69,11 @@ WALL_CLOCK_CALLS = {
 #: serialization entry points whose transitive callees must be clock-free
 CANONICAL_ROOTS = ("canonical_dict",)
 
-#: the one storage module allowed to materialize bytes (padding / tearing)
+#: the one storage module allowed to build new payloads (padding / tearing)
 BYTES_ALLOWLIST = {"block.py"}
 
 #: CrashTestResult fields serialized explicitly rather than via SCALAR_FIELDS
 STRUCTURED_RESULT_FIELDS = {"workload", "bug_reports", "check_timings"}
-
-#: slab internals the spill module must never reach for (rule 6): the chunk
-#: list of a BlockSlab and the ``.obj`` backdoor from a memoryview to its
-#: backing bytearray
-SLAB_CHUNK_ATTRS = {"_chunk", "_chunks", "obj"}
 
 
 class Finding(Tuple[str, int, str]):
@@ -177,15 +166,15 @@ def check_storage_stays_zero_copy(trees: Dict[Path, ast.Module]) -> List[Finding
             if receiver == "" and attr == "bytes" and node.args:
                 findings.append(Finding(
                     relative, node.lineno,
-                    "bytes(...) copy in a storage hot path — payloads flow "
-                    "as read-only memoryviews; only block.py materializes "
-                    "bytes (padding / tearing)",
+                    "bytes(...) copy in a storage hot path — payloads are "
+                    "immutable bytes shared by reference; only block.py "
+                    "builds new ones (padding / tearing)",
                 ))
             elif attr == "tobytes":
                 findings.append(Finding(
                     relative, node.lineno,
-                    ".tobytes() copy in a storage hot path — slice the "
-                    "memoryview instead",
+                    ".tobytes() copy in a storage hot path — storage holds "
+                    "no memoryviews; payloads are bytes already",
                 ))
     return findings
 
@@ -342,44 +331,6 @@ def check_analysis_does_not_import_harness(trees: Dict[Path, ast.Module]) -> Lis
     return findings
 
 
-# -------------------------------------------------- rule 6: spill vs slab guts
-
-
-def check_spill_never_references_slab_chunks(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    """``storage/spill.py`` must not touch slab chunks or raw bytearrays.
-
-    The spill layer serializes frozen spine nodes whose payloads live in
-    shared slab arenas.  Its only sanctioned route to the payload bytes is
-    ``materialize_payload`` (which lives in ``block.py``); reaching for a
-    slab's ``_chunks`` list, a memoryview's ``.obj``, or allocating a
-    ``bytearray`` of its own would let a spill file capture or alias a live
-    arena — exactly the copy/aliasing bugs the zero-copy design rules out.
-    """
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        if path.parent != SRC_ROOT / "storage" or path.name != "spill.py":
-            continue
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                receiver, attr = _call_name(node)
-                if receiver == "" and attr == "bytearray":
-                    findings.append(Finding(
-                        relative, node.lineno,
-                        "bytearray(...) in the spill layer — spill codecs "
-                        "flatten payloads via materialize_payload, they never "
-                        "build mutable buffers of their own",
-                    ))
-            elif isinstance(node, ast.Attribute) and node.attr in SLAB_CHUNK_ATTRS:
-                findings.append(Finding(
-                    relative, node.lineno,
-                    f"spill layer reaches into slab internals (`.{node.attr}`) "
-                    "— a spill file must never capture or alias a live slab "
-                    "arena; go through materialize_payload",
-                ))
-    return findings
-
-
 # ------------------------------------------------------------------------ driver
 
 
@@ -398,7 +349,6 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_result_fields_are_accounted(trees))
     findings.extend(check_planners_have_soundness_coverage(trees))
     findings.extend(check_analysis_does_not_import_harness(trees))
-    findings.extend(check_spill_never_references_slab_chunks(trees))
     return findings
 
 
