@@ -645,6 +645,35 @@ class CrossWorkloadCache:
         return True
 
 
+def connect_wal(path: str, timeout: float, **kwargs):
+    """Open the sqlite database at ``path`` in WAL mode.
+
+    Switching the journal mode takes the database lock without consulting
+    sqlite's busy handler, so while another connection holds the write lock
+    (typically a concurrent process opening the same fresh database) the
+    ``PRAGMA`` fails with "database is locked" at once instead of waiting up
+    to ``timeout``.  Retry it, backing off, until ``timeout`` has passed.
+    """
+    import sqlite3
+    import time
+
+    conn = sqlite3.connect(path, timeout=timeout, **kwargs)
+    deadline = time.monotonic() + timeout
+    delay = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            break
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                conn.close()
+                raise
+            time.sleep(delay)
+            delay = min(delay * 2, 0.05)
+    conn.execute("PRAGMA synchronous=NORMAL")
+    return conn
+
+
 class GlobalDedupCache:
     """Campaign-global, disk-backed variant of :class:`CrossWorkloadCache`.
 
@@ -668,14 +697,10 @@ class GlobalDedupCache:
     """
 
     def __init__(self, path: str, timeout: float = 30.0):
-        import sqlite3
-
         self.path = path
-        self._conn = sqlite3.connect(path, timeout=timeout)
         # WAL lets readers proceed during a writer's commit; sightings are
         # single-row inserts, so contention stays on the short write lock.
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn = connect_wal(path, timeout)
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS sightings (key TEXT PRIMARY KEY)"
         )
@@ -724,14 +749,10 @@ class ScopedDedupCache(GlobalDedupCache):
     """
 
     def __init__(self, path: str, scope: str, timeout: float = 30.0):
-        import sqlite3
-
         self.path = path
         self.scope = scope
         self.chunk_index = -1
-        self._conn = sqlite3.connect(path, timeout=timeout)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn = connect_wal(path, timeout)
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS dedup_sightings ("
             " scope TEXT NOT NULL,"

@@ -48,6 +48,7 @@ import sqlite3
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.results import CampaignResult
+from ..crashmonkey.crashplan import connect_wal
 from ..crashmonkey.report import CrashTestResult
 from ..engine.backends import ChunkOutcome
 from . import api
@@ -113,9 +114,7 @@ class CampaignStateDB:
         # BEGIN IMMEDIATE transaction so results + chunk status land
         # atomically — a crash mid-ingest leaves the chunk `processing`,
         # which recovery resets cleanly.
-        self._conn = sqlite3.connect(path, timeout=timeout, isolation_level=None)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn = connect_wal(path, timeout, isolation_level=None)
         self._conn.executescript(_SCHEMA)
 
     def close(self) -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sqlite3
+import threading
+
 import pytest
 
 from repro.crashmonkey import CrashMonkey
@@ -11,6 +14,24 @@ from repro.workload import parse_workload
 
 #: Small (sparse) device used throughout the tests: 16 MiB.
 SMALL_DEVICE_BLOCKS = 4096
+
+
+def hold_write_lock(path: str, seconds: float) -> threading.Timer:
+    """Take the write lock on the sqlite database at ``path`` for ``seconds``.
+
+    Stands in for a concurrent process that opened the same database first.
+    Returns the timer that commits and releases the lock; join it to wait.
+    """
+    holder = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    holder.execute("BEGIN IMMEDIATE")
+
+    def release():
+        holder.execute("COMMIT")
+        holder.close()
+
+    timer = threading.Timer(seconds, release)
+    timer.start()
+    return timer
 
 
 @pytest.fixture

@@ -90,12 +90,27 @@ def test_running_the_main_module_imports_it_once():
     assert "RuntimeWarning" not in completed.stderr
 
 
+#: recording/replay sharing flags the campaign command no longer has
+REMOVED_SHARING_FLAGS = ("--share-prefixes", "--no-share-prefixes", "--share-replay",
+                         "--no-share-replay", "--spine-memory-budget", "--spine-spill-dir")
+
+
 def test_campaign_help_lists_no_removed_sharing_flags():
     campaign = build_parser()._subparsers._group_actions[0].choices["campaign"]
     help_text = campaign.format_help()
-    for flag in ("--share-prefixes", "--no-share-prefixes", "--share-replay",
-                 "--no-share-replay", "--spine-memory-budget", "--spine-spill-dir"):
+    for flag in REMOVED_SHARING_FLAGS:
         assert flag not in help_text, flag
+
+
+@pytest.mark.parametrize("flag", REMOVED_SHARING_FLAGS)
+def test_campaign_rejects_a_removed_sharing_flag(flag, capsys):
+    # A script still passing a removed flag fails at parse time instead of
+    # running a campaign that silently ignores it.
+    value = {"--spine-memory-budget": ["0"], "--spine-spill-dir": ["spill"]}.get(flag, [])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign", "--preset", "seq-1", "--limit", "1", flag, *value])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCheckSelection:

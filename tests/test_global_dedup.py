@@ -19,11 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.ace import AceSynthesizer, seq1_bounds
 from repro.core import B3Campaign, CampaignConfig
-from repro.crashmonkey import CrashMonkey, GlobalDedupCache
+from repro.crashmonkey import CrashMonkey, GlobalDedupCache, ScopedDedupCache
 from repro.engine import HarnessSpec, run_campaign
 from repro.workload import parse_workload
 
-from conftest import SMALL_DEVICE_BLOCKS
+from conftest import SMALL_DEVICE_BLOCKS, hold_write_lock
 
 SIBLING_A = "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar"
 SIBLING_B = "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz"
@@ -73,6 +73,26 @@ class TestGlobalDedupCache:
         survivors = GlobalDedupCache(path)
         assert len(survivors) == 40
         survivors.close()
+
+    def test_opening_waits_for_a_concurrent_writer_to_commit(self, tmp_path):
+        # Switching to WAL bypasses sqlite's busy handler; a cache opened
+        # while another process holds the write lock must wait, not raise.
+        path = str(tmp_path / "s.sqlite")
+        release = hold_write_lock(path, 0.2)
+        cache = GlobalDedupCache(path, timeout=10.0)
+        release.join()
+        assert cache.first_sighting(("a",))
+        assert len(cache) == 1
+        cache.close()
+
+    def test_scoped_cache_opening_waits_for_a_concurrent_writer(self, tmp_path):
+        path = str(tmp_path / "state.sqlite")
+        release = hold_write_lock(path, 0.2)
+        cache = ScopedDedupCache(path, "camp", timeout=10.0)
+        release.join()
+        assert cache.first_sighting(("a",))
+        assert len(cache) == 1
+        cache.close()
 
 
 # --------------------------------------------------------------------------- harness scope

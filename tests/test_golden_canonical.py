@@ -26,6 +26,7 @@ import pytest
 
 from repro.ace.bounds import seq1_bounds, seq2_bounds, seq3_data_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
+from repro.fs.bugs import BugConfig
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "canonical_digests.json"
 
@@ -33,21 +34,37 @@ _FILESYSTEMS = ("flashfs", "logfs", "seqfs", "verifs")
 _PLANS = ("prefix", "torn", "mechanism")
 _BOUNDS = {"seq-1": seq1_bounds, "seq-2": seq2_bounds, "seq-3-data": seq3_data_bounds}
 
-#: cell name -> (fs, crash plan, bounds label, workload cap or None = full space)
+#: cell name -> (fs, crash plan, bounds label, workload cap or None = full
+#: space, variant); the variant adds campaign options: "dedup" turns on
+#: cross-workload dedup, "patched" runs the file system with no bugs.
 CELLS: Dict[str, tuple] = {
-    **{f"{fs}-{plan}-seq-1": (fs, plan, "seq-1", None)
+    **{f"{fs}-{plan}-seq-1": (fs, plan, "seq-1", None, "")
        for fs in _FILESYSTEMS for plan in _PLANS},
-    "flashfs-torn-seq-2-300": ("flashfs", "torn", "seq-2", 300),
-    "logfs-mechanism-seq-3-data-300": ("logfs", "mechanism", "seq-3-data", 300),
+    **{f"{fs}-reorder-seq-1": (fs, "reorder", "seq-1", None, "")
+       for fs in _FILESYSTEMS},
+    **{f"{fs}-{plan}-seq-1-dedup": (fs, plan, "seq-1", None, "dedup")
+       for fs in _FILESYSTEMS for plan in _PLANS},
+    **{f"{fs}-prefix-seq-1-patched": (fs, "prefix", "seq-1", None, "patched")
+       for fs in _FILESYSTEMS},
+    "flashfs-torn-seq-2-300": ("flashfs", "torn", "seq-2", 300, ""),
+    "logfs-mechanism-seq-3-data-300": ("logfs", "mechanism", "seq-3-data", 300, ""),
 }
 
 
+def _variant_options(variant: str) -> Dict[str, object]:
+    if variant == "dedup":
+        return {"cross_workload_dedup": True}
+    if variant == "patched":
+        return {"bugs": BugConfig.none()}
+    return {}
+
+
 def cell_findings(fs_name: str, crash_plan: str, bounds_label: str,
-                  max_workloads: Optional[int]) -> Dict[str, object]:
+                  max_workloads: Optional[int], variant: str = "") -> Dict[str, object]:
     """Run one cell serially; return its canonical digest and counts."""
     config = CampaignConfig(fs_name=fs_name, bounds=_BOUNDS[bounds_label](),
                             crash_plan=crash_plan, max_workloads=max_workloads,
-                            processes=1)
+                            processes=1, **_variant_options(variant))
     result = B3Campaign(config).run()
     payload = json.dumps(result.canonical_dict(), sort_keys=True)
     return {

@@ -77,6 +77,24 @@ def test_canonical_dict_drops_session_telemetry():
     assert len(canonical["bug_reports"]) == len(result.bug_reports)
 
 
+def test_result_payload_with_retired_sharing_fields_still_loads():
+    # State stores written before the recording/replay sharing was removed
+    # hold results carrying its telemetry; they load, and the fields are
+    # neither kept nor written back.
+    result = _failing_result()
+    payload = json.loads(json.dumps(result.to_dict()))
+    retired = {
+        "prefix_shared": True, "prefix_ops_reused": 3, "prefix_writes_reused": 7,
+        "prefix_seconds_saved": 0.5, "replay_shared": True,
+        "replay_writes_reused": 11, "replay_seconds_saved": 0.25,
+        "spine_resident_bytes": 4096, "spine_peak_resident_bytes": 8192,
+        "spine_spilled_bytes": 4096, "spine_spills": 2, "spine_rehydrations": 1,
+    }
+    clone = CrashTestResult.from_dict({**payload, **retired})
+    assert clone.to_dict() == result.to_dict()
+    assert clone.prefix_writes_reused == 0
+
+
 @pytest.fixture(scope="module")
 def campaign_result():
     config = CampaignConfig(fs_name="btrfs", bounds=seq2_bounds(),
@@ -128,3 +146,19 @@ def test_parsed_workload_to_json_round_trip():
     workload = parse_workload(FIGURE1, name="figure1")
     clone = Workload.from_json(workload.to_json())
     assert clone.prefix_key() == workload.prefix_key()
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("campaign", "prefix_hits"),
+    ("campaign", "replay_hits"),
+    ("campaign", "spine_peak_resident_bytes"),
+    ("result", "prefix_writes_reused"),
+])
+def test_benchmark_reader_counters_read_zero(campaign_result, owner, name):
+    # perfbench/rep.py still reads these four; they are read-only zeros and
+    # never part of a serialized payload.
+    target = campaign_result if owner == "campaign" else campaign_result.results[0]
+    assert getattr(target, name) == 0
+    with pytest.raises(AttributeError):
+        setattr(target, name, 1)
+    assert name not in json.dumps(target.to_dict())

@@ -1,5 +1,7 @@
 """The campaign state store: chunk lifecycle, recovery, dedup-at-write."""
 
+import sqlite3
+
 import pytest
 
 from repro.crashmonkey.report import CrashTestResult
@@ -7,6 +9,8 @@ from repro.engine.backends import ChunkOutcome
 from repro.service import CampaignStateDB
 from repro.service import api
 from repro.workload import parse_workload
+
+from conftest import hold_write_lock
 
 
 @pytest.fixture
@@ -222,3 +226,54 @@ def test_store_reopens_from_disk(tmp_path):
     with CampaignStateDB(path) as store:
         assert store.done_chunk_indices("c1") == {0}
         assert store.campaign_result("c1").workloads_tested == 1
+
+
+def test_store_opens_while_another_connection_holds_the_write_lock(tmp_path):
+    path = str(tmp_path / "state.sqlite")
+    release = hold_write_lock(path, 0.2)
+    with CampaignStateDB(path, timeout=10.0) as store:
+        release.join()
+        assert store.create_campaign("c1", CONFIG) is True
+
+
+#: the ``chunks`` table as state stores created before the recording/replay
+#: sharing was removed define it, with its two hit-count columns
+_CHUNKS_WITH_HIT_COLUMNS = """
+CREATE TABLE chunks (
+    campaign_id   TEXT NOT NULL,
+    chunk_index   INTEGER NOT NULL,
+    chunk_key     TEXT NOT NULL,
+    workloads     INTEGER NOT NULL,
+    status        TEXT NOT NULL DEFAULT 'pending',
+    seconds       REAL NOT NULL DEFAULT 0,
+    worker        TEXT NOT NULL DEFAULT '',
+    failing       INTEGER NOT NULL DEFAULT 0,
+    raw_reports   INTEGER NOT NULL DEFAULT 0,
+    crash_points  INTEGER NOT NULL DEFAULT 0,
+    scenarios     INTEGER NOT NULL DEFAULT 0,
+    deduped       INTEGER NOT NULL DEFAULT 0,
+    cross_deduped INTEGER NOT NULL DEFAULT 0,
+    prefix_hits   INTEGER NOT NULL DEFAULT 0,
+    replay_hits   INTEGER NOT NULL DEFAULT 0,
+    cpu_seconds   REAL NOT NULL DEFAULT 0,
+    PRIMARY KEY (campaign_id, chunk_index)
+)
+"""
+
+
+def test_store_with_the_old_chunk_hit_columns_still_works(tmp_path):
+    path = str(tmp_path / "state.sqlite")
+    old = sqlite3.connect(path)
+    old.execute(_CHUNKS_WITH_HIT_COLUMNS)
+    old.commit()
+    old.close()
+    with CampaignStateDB(path) as store:
+        store.create_campaign("c1", CONFIG, tenant="alice")
+        store.register_chunks("c1", [(0, "k0", 2)])
+        store.claim_chunk("c1", 0)
+        assert store.ingest_outcome("c1", _outcome(0, ["a", "b"], reports=1))
+        assert store.done_chunk_indices("c1") == {0}
+        assert store.campaign_result("c1").workloads_tested == 2
+        (usage,) = store.tenant_usage()
+        assert (usage.tenant, usage.chunks, usage.workloads) == ("alice", 1, 2)
+        assert usage.raw_reports == 2
